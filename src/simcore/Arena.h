@@ -95,41 +95,6 @@ class Arena {
     used_ = 0;
   }
 
-  /// Releases slack capacity back to the global allocator; the hibernation
-  /// half of the fleet's memory story (reset() deliberately keeps chunks
-  /// mapped for episode reuse — trim() is for arenas that will sit idle).
-  /// Chunks strictly after the bump cursor hold no block handed out this
-  /// episode and are freed; when nothing is live at all (used_bytes() == 0,
-  /// e.g. right after reset()) every chunk goes and the free-list bins are
-  /// cleared with them. Binned free blocks inside chunks at or before the
-  /// cursor are left alone — they sit interleaved with live data (the cursor
-  /// only ever advances within an episode, so no bin can point past it).
-  /// Returns the number of bytes released.
-  std::size_t trim() noexcept {
-    if (used_ == 0) {
-      const std::size_t freed = reserved_;
-      release();
-      for (auto& bin : bins_) bin = nullptr;
-      reserved_ = 0;
-      chunk_count_ = 0;
-      return freed;
-    }
-    if (cursor_chunk_ == nullptr) return 0;
-    Chunk* c = cursor_chunk_->next;
-    cursor_chunk_->next = nullptr;
-    tail_ = cursor_chunk_;
-    std::size_t freed = 0;
-    while (c != nullptr) {
-      Chunk* next = c->next;
-      freed += c->capacity;
-      reserved_ -= c->capacity;
-      --chunk_count_;
-      ::operator delete(static_cast<void*>(c));
-      c = next;
-    }
-    return freed;
-  }
-
   /// Bytes currently handed out (binned blocks count at bin granularity).
   [[nodiscard]] std::size_t used_bytes() const { return used_; }
   /// Total chunk capacity acquired from the global allocator so far.

@@ -59,15 +59,6 @@ class EventQueue {
   /// it wholesale.
   [[nodiscard]] std::optional<TimePoint> peek() const;
 
-  /// Releases slack capacity back to the allocator: purges stale heap
-  /// entries, drops trailing free slots, and shrinks every internal vector to
-  /// its live size. Outstanding EventIds stay valid (live slots never move;
-  /// handles to fired/cancelled events in dropped slots remain dead no-ops —
-  /// reborn slots start past the dropped generation so no handle can alias).
-  /// Intended for parked simulations; costs a few reallocations on the next
-  /// growth, nothing else. Returns the capacity bytes given back.
-  std::size_t shrink();
-
   /// Removes and returns the earliest live event. Requires !empty().
   struct Fired {
     TimePoint when;
@@ -114,10 +105,6 @@ class EventQueue {
   std::size_t live_count_{0};
   std::size_t stale_in_heap_{0};
   std::uint64_t next_seq_{0};
-  /// Starting generation for slots created after a shrink: at least one past
-  /// every generation a dropped slot ever handed out, so a stale EventId can
-  /// never alias an event scheduled into a reborn slot index.
-  std::uint32_t gen_floor_{1};
 };
 
 }  // namespace vg::sim

@@ -304,34 +304,7 @@ TEST(FleetParity, GeneratedPopulationsHoldParityToo) {
 }
 
 // ---------------------------------------------------------------------------
-// Wake calendar + hibernation: scheduling is invisible in the stats.
-
-TEST(FleetParity, HibernationNeverChangesTheStats) {
-  const WorldTemplate tmpl{populated_spec()};
-  const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
-
-  // Aggressive (hibernate at any forward gap), default, and never: all three
-  // must be bit-identical — hibernation is memory-only.
-  FleetConfig eager;
-  eager.shards = 2;
-  eager.hibernate_gap = sim::Duration{1};
-  WakeTelemetry eager_tel;
-  EXPECT_TRUE(run_fleet(tmpl, eager, &eager_tel) == serial);
-  EXPECT_GT(eager_tel.hibernations, 0u);
-
-  FleetConfig never;
-  never.shards = 2;
-  never.hibernate_gap = sim::Duration{0};
-  WakeTelemetry never_tel;
-  EXPECT_TRUE(run_fleet(tmpl, never, &never_tel) == serial);
-  EXPECT_EQ(never_tel.hibernations, 0u);
-  EXPECT_EQ(never_tel.trim_bytes, 0u);
-
-  // The scheduler telemetry itself is deterministic for a fixed config: the
-  // same wake sequence ran under both hibernation policies.
-  EXPECT_EQ(eager_tel.wakes, never_tel.wakes);
-  EXPECT_EQ(eager_tel.epochs_skipped, never_tel.epochs_skipped);
-}
+// Wake calendar: scheduling is invisible in the stats.
 
 TEST(WakeCalendar, SkipsIdleEpochsAcrossALongDrain) {
   // Commands end by ~50 s but the drain stretches to 300 s: the round-robin
@@ -386,53 +359,6 @@ TEST(WakeCalendar, TelemetryReportsTheResolvedRunShape) {
   WakeTelemetry capped_tel;
   (void)run_fleet(tmpl, capped, &capped_tel);
   EXPECT_EQ(capped_tel.resident_cap, 2u);
-}
-
-TEST(FleetParity, WakeBatchSizeNeverChangesTheStats) {
-  // wake_batch is a locality knob: a popped home may run several consecutive
-  // horizons before re-entering the heap. Whatever the batch, the horizons
-  // executed per home are the same, so stats AND wake telemetry must match.
-  const WorldTemplate tmpl{populated_spec()};
-  const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
-
-  WakeTelemetry reference_tel;
-  FleetConfig reference;
-  reference.shards = 2;
-  reference.wake_batch = 1;  // the strict earliest-wake-first order
-  EXPECT_TRUE(run_fleet(tmpl, reference, &reference_tel) == serial);
-
-  for (const std::uint32_t batch : {0u, 3u, 1000u}) {
-    FleetConfig cfg;
-    cfg.shards = 2;
-    cfg.wake_batch = batch;
-    WakeTelemetry tel;
-    EXPECT_TRUE(run_fleet(tmpl, cfg, &tel) == serial)
-        << "wake_batch " << batch;
-    EXPECT_EQ(tel.wakes, reference_tel.wakes) << "wake_batch " << batch;
-    EXPECT_EQ(tel.epochs_skipped, reference_tel.epochs_skipped)
-        << "wake_batch " << batch;
-  }
-}
-
-TEST(FleetParity, PinnedWorkersAreBitIdentical) {
-  const WorldTemplate tmpl{populated_spec()};
-  const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
-  FleetConfig cfg;
-  cfg.shards = 4;
-  cfg.pin_threads = true;  // placement hint only; results must not move
-  EXPECT_TRUE(run_fleet(tmpl, cfg) == serial);
-}
-
-TEST(ParkedFleet, ParkThenFinishMatchesSerialExactly) {
-  const WorldTemplate tmpl{populated_spec()};
-  const AggregateStats serial = run_fleet_serial(tmpl, 0, tmpl.homes());
-
-  ParkedFleet parked{tmpl, tmpl.homes()};
-  EXPECT_EQ(parked.count(), tmpl.homes());
-  // Hibernating a parked home must actually give memory back: the arena
-  // holds boot + calibration + command traffic it no longer needs.
-  EXPECT_GT(parked.trim_bytes(), 0u);
-  EXPECT_TRUE(parked.finish() == serial);
 }
 
 // ---------------------------------------------------------------------------

@@ -239,11 +239,10 @@ int cmd_fleet(const std::string& path, std::uint64_t homes, unsigned shards,
   const fleet::AggregateStats stats = fleet::run_fleet(*tmpl, cfg, &tel);
   std::printf("%s\n", stats.to_string().c_str());
   std::printf(
-      "calendar: %llu wake(s), %llu empty epoch(s) skipped, %llu "
-      "hibernation(s); %u worker(s), resident cap %llu\n",
+      "calendar: %llu wake(s), %llu empty epoch(s) skipped; %u worker(s), "
+      "resident cap %llu\n",
       static_cast<unsigned long long>(tel.wakes),
-      static_cast<unsigned long long>(tel.epochs_skipped),
-      static_cast<unsigned long long>(tel.hibernations), tel.workers,
+      static_cast<unsigned long long>(tel.epochs_skipped), tel.workers,
       static_cast<unsigned long long>(tel.resident_cap));
 
   if (region_report) {
