@@ -6,10 +6,12 @@
 /// twice — serially on the calling thread, then fanned across cores with
 /// sim::BatchRunner — and cross-checked for bit-identical results.
 ///
-/// Reports events/sec (serial, the kernel hot-path metric), trials/sec
-/// (batched, the fleet metric) and allocs/event (global allocator pressure —
-/// the per-simulation arena's headline number), plus a machine-readable
-/// BENCH_JSON line:
+/// Reports home-days/sec (serial, the simulator's headline: trials x days
+/// over serial wall time), trials/sec (batched, the fleet metric) and, for
+/// information only, kernel events and allocs/event (global allocator
+/// pressure per event). Events/sec is not reported: the stair sensor sleeps
+/// while nobody walks, so the event count no longer tracks the work a
+/// home-day takes. Plus a machine-readable BENCH_JSON line:
 ///   BENCH_JSON {"bench":"throughput",...}
 ///
 /// Usage: bench_throughput [--days N] [--workers N]
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
   }
   if (days < 1) days = 1;
 
-  bench::header("Throughput: serial events/sec and batched trials/sec",
+  bench::header("Throughput: serial home-days/sec and batched trials/sec",
                 "perf tracking (Tables II-IV batch)");
 
   std::vector<workload::TrialSpec> specs;
@@ -115,7 +117,8 @@ int main(int argc, char** argv) {
     sim_secs += r.sim_seconds;
   }
   const bool match = identical(serial, batched);
-  const double evps = static_cast<double>(events) / serial_s;
+  const double home_days_ps =
+      static_cast<double>(specs.size()) * days / serial_s;
   const double trials_ps = static_cast<double>(specs.size()) / batch_s;
   const double speedup = serial_s / batch_s;
   const double allocs_per_event =
@@ -126,8 +129,8 @@ int main(int argc, char** argv) {
               specs.size(), days);
   std::printf("kernel events        : %llu (%.0f simulated seconds)\n",
               static_cast<unsigned long long>(events), sim_secs);
-  std::printf("serial wall          : %.3f s  -> %.0f events/sec\n", serial_s,
-              evps);
+  std::printf("serial wall          : %.3f s  -> %.1f home-days/sec\n",
+              serial_s, home_days_ps);
   std::printf("batched wall         : %.3f s  -> %.2f trials/sec on %u workers\n",
               batch_s, trials_ps, pool.worker_count());
   std::printf("speedup              : %.2fx\n", speedup);
@@ -139,11 +142,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\nBENCH_JSON {\"bench\":\"throughput\",\"trials\":%zu,\"days\":%d,"
       "\"workers\":%u,\"serial_seconds\":%.3f,\"batch_seconds\":%.3f,"
-      "\"events\":%llu,\"events_per_sec_serial\":%.0f,"
+      "\"events\":%llu,\"home_days_per_sec_serial\":%.2f,"
       "\"trials_per_sec_batch\":%.3f,\"speedup\":%.3f,"
       "\"serial_allocs\":%zu,\"allocs_per_event\":%.3f,\"identical\":%s}\n",
       specs.size(), days, pool.worker_count(), serial_s, batch_s,
-      static_cast<unsigned long long>(events), evps, trials_ps, speedup,
+      static_cast<unsigned long long>(events), home_days_ps, trials_ps, speedup,
       serial_allocs, allocs_per_event, match ? "true" : "false");
   return match ? 0 : 1;
 }

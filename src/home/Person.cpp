@@ -18,6 +18,7 @@ bool Person::moving() const {
 }
 
 void Person::teleport(radio::Vec3 p) {
+  notify_move();
   ++walk_gen_;  // invalidate any in-flight walk continuation
   from_ = p;
   to_ = p;
@@ -34,6 +35,7 @@ void Person::walk_to(radio::Vec3 target, double speed_mps,
 
 void Person::follow_path(std::vector<radio::Vec3> points, double speed_mps,
                          std::function<void()> done) {
+  notify_move();
   ++walk_gen_;
   const radio::Vec3 here = position();
   from_ = here;
@@ -44,6 +46,17 @@ void Person::follow_path(std::vector<radio::Vec3> points, double speed_mps,
   speed_ = std::max(0.1, speed_mps);
   done_ = std::move(done);
   advance_segment();
+}
+
+std::size_t Person::add_move_hook(std::function<void()> hook) {
+  move_hooks_.push_back(std::move(hook));
+  return move_hooks_.size() - 1;
+}
+
+void Person::notify_move() {
+  for (const auto& hook : move_hooks_) {
+    if (hook) hook();
+  }
 }
 
 void Person::advance_segment() {

@@ -39,11 +39,18 @@ class Person {
   void walk_to(radio::Vec3 target, double speed_mps,
                std::function<void()> done = nullptr);
 
+  /// Registers \p hook to run at the start of every follow_path() (and so
+  /// walk_to()) and teleport() call: once per call, not per segment. Returns
+  /// a handle for remove_move_hook().
+  std::size_t add_move_hook(std::function<void()> hook);
+  void remove_move_hook(std::size_t handle) { move_hooks_[handle] = nullptr; }
+
   /// Typical indoor walking speed (§V-B2 implies ~1 m/s up the stairs).
   static constexpr double kDefaultSpeed = 1.1;
 
  private:
   void advance_segment();
+  void notify_move();
 
   sim::Simulation& sim_;
   std::string name_;
@@ -56,6 +63,7 @@ class Person {
   double speed_{kDefaultSpeed};
   std::function<void()> done_;
   std::uint64_t walk_gen_{0};
+  std::vector<std::function<void()>> move_hooks_;  // removed hooks are empty
 };
 
 }  // namespace vg::home

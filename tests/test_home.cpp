@@ -66,6 +66,23 @@ TEST(Person, TeleportStopsMovement) {
   EXPECT_NEAR(p.position().z, 7.0, 1e-9);
 }
 
+TEST(Person, MoveHookFiresOncePerWalkOrTeleport) {
+  sim::Simulation sim{1};
+  Person p{sim, "p", {0, 0, 0}};
+  int moves = 0;
+  const std::size_t hook = p.add_move_hook([&] { ++moves; });
+  p.follow_path({{3, 0, 0}, {3, 4, 0}, {0, 4, 0}}, 1.0);  // three segments
+  sim.run_all();
+  EXPECT_EQ(moves, 1);
+  p.teleport({1, 1, 0});
+  p.walk_to({2, 2, 0}, 1.0);
+  EXPECT_EQ(moves, 3);
+  p.remove_move_hook(hook);
+  p.walk_to({0, 0, 0}, 1.0);
+  sim.run_all();
+  EXPECT_EQ(moves, 3);
+}
+
 TEST(Person, WalkFromCurrentMidpointPosition) {
   sim::Simulation sim{1};
   Person p{sim, "p", {0, 0, 0}};
@@ -151,6 +168,77 @@ TEST_F(SensorFixture, TriggerLatencyDelaysEvent) {
   p.walk_to({4, 1, 1.5}, 2.0);  // enters region at t=1s
   sim.run_until(sim::TimePoint{} + sim::seconds(10));
   EXPECT_GE((fired - sim::TimePoint{}).seconds(), 1.0 + 0.35 - 0.05);
+}
+
+TEST_F(SensorFixture, IdleSensorCostsNoEvents) {
+  // Nobody walks, so the sensor polls once at start() and then sleeps.
+  MotionSensor s{sim, region, opts};
+  arm(s);
+  sim.run_until(sim::TimePoint{} + sim::days(1));
+  EXPECT_LE(sim.executed_events(), 2u);
+  EXPECT_EQ(events, 0);
+}
+
+TEST_F(SensorFixture, WakeLandsOnStartAnchoredGrid) {
+  MotionSensor s{sim, region, opts};
+  s.watch(p);
+  sim::TimePoint fired;
+  s.subscribe([&] { fired = sim.now(); });
+  s.start();  // grid: 0, 0.2, 0.4, ...
+  sim.run_until(sim::TimePoint{} + sim::milliseconds(50));
+  p.walk_to({4, 1, 1.5}, 4.0);  // x(t) = -2 + 4 (t - 0.05)
+  // The walk's own segment end lies past 0.2 s, so the next event is the
+  // sensor's first poll.
+  EXPECT_EQ(sim.next_event_at(), sim::TimePoint{} + sim::milliseconds(200));
+  sim.run_until(sim::TimePoint{} + sim::seconds(5));
+  // Polls at 0.2 (x=-1.4) and 0.4 (x=-0.6) see the walker outside; 0.6
+  // (x=0.2) fires. A grid anchored at the walk (0.25, 0.45, 0.65) would fire
+  // at 0.65 instead.
+  EXPECT_EQ(s.activations(), 1u);
+  EXPECT_EQ(fired, sim::TimePoint{} + sim::milliseconds(600 + 350));
+  // Asleep again. A walk starting exactly on a tick, after that tick's events
+  // ran, is first polled on the next tick: an all-day sensor polled this one
+  // before the walk began.
+  sim.run_until(sim::TimePoint{} + sim::seconds(7));
+  p.walk_to({-2, 1, 1.5}, 1.0);
+  EXPECT_EQ(sim.next_event_at(), sim::TimePoint{} + sim::milliseconds(7200));
+}
+
+TEST_F(SensorFixture, TeleportWhileAsleepDoesNotFireLaterWalk) {
+  MotionSensor s{sim, region, opts};
+  arm(s);
+  sim.run_until(sim::TimePoint{} + sim::seconds(5));
+  // Off the grid: the wake poll at 5.2 s records the person inside.
+  sim.run_until(sim::TimePoint{} + sim::milliseconds(5050));
+  p.teleport({1, 1, 1.5});
+  sim.run_until(sim::TimePoint{} + sim::seconds(10));
+  p.walk_to({1.5, 1.5, 1.5}, 0.5);  // moves, but never enters
+  sim.run_until(sim::TimePoint{} + sim::seconds(20));
+  EXPECT_EQ(events, 0);
+  EXPECT_EQ(s.activations(), 0u);
+}
+
+TEST_F(SensorFixture, DestroyedSensorIsNeverCalledBack) {
+  {
+    // Asleep when destroyed: only the move hook could reach it.
+    MotionSensor s{sim, region, opts};
+    arm(s);
+    p.walk_to({4, 1, 1.5}, 1.0);
+    sim.run_until(sim::TimePoint{} + sim::seconds(10));
+    EXPECT_EQ(s.activations(), 1u);
+  }
+  {
+    // Awake when destroyed: its pending poll must be cancelled too.
+    MotionSensor s{sim, region, opts};
+    arm(s);
+    p.walk_to({-2, 1, 1.5}, 1.0);
+    sim.run_until(sim.now() + sim::milliseconds(500));
+  }
+  p.walk_to({4, 1, 1.5}, 1.0);
+  p.teleport({1, 1, 1.5});
+  p.walk_to({-2, 1, 1.5}, 1.0);
+  sim.run_all();
+  EXPECT_EQ(events, 1);
 }
 
 // ---------------------------------------------------------------------------
