@@ -5,7 +5,9 @@
 namespace vg::cloud {
 
 CloudFarm::CloudFarm(net::Network& net, net::Router& router, Options opts)
-    : net_(net), opts_(opts) {
+    : net_(net),
+      opts_(opts),
+      migration_rng_(net.sim().rng("cloud.migration")) {
   auto attach = [&](net::Host& h) {
     net::Link& l =
         net.add_link(h, router, opts_.wan_latency, opts_.wan_jitter);
@@ -74,9 +76,8 @@ void CloudFarm::migrate_avs_now() {
 }
 
 void CloudFarm::schedule_migration() {
-  auto& rng = net_.sim().rng("cloud.migration");
   const sim::Duration wait = sim::from_seconds(
-      rng.exponential_mean(opts_.avs_migration_mean.seconds()));
+      migration_rng_.exponential_mean(opts_.avs_migration_mean.seconds()));
   net_.sim().after(wait, [this] {
     migrate_avs_now();
     schedule_migration();

@@ -3,7 +3,7 @@
 namespace vg::cloud {
 
 GoogleCloudApp::GoogleCloudApp(net::Host& host, Options opts)
-    : host_(host), opts_(opts) {
+    : host_(host), opts_(opts), rng_(host.sim().rng("cloud.google")) {
   host_.tcp().listen(opts_.port,
                      [this](net::TcpConnection& c) { accept_tcp(c); });
   host_.udp().bind(opts_.port,
@@ -41,11 +41,10 @@ void GoogleCloudApp::on_tcp_record(TcpSession& s, const net::TlsRecord& r) {
 }
 
 void GoogleCloudApp::respond_tcp(TcpSession& s) {
-  auto& rng = host_.sim().rng("cloud.google");
   const sim::Duration delay =
       opts_.process_delay_mean +
-      sim::Duration{rng.uniform_int(-opts_.process_delay_spread.ns(),
-                                    opts_.process_delay_spread.ns())};
+      sim::Duration{rng_.uniform_int(-opts_.process_delay_spread.ns(),
+                                     opts_.process_delay_spread.ns())};
   net::TcpConnection* conn = s.conn;
   host_.sim().after(delay, [this, conn] {
     auto it = tcp_.find(conn);
@@ -101,11 +100,10 @@ void GoogleCloudApp::on_quic_datagram(const net::Packet& p) {
 }
 
 void GoogleCloudApp::respond_quic(QuicSession& s) {
-  auto& rng = host_.sim().rng("cloud.google");
   const sim::Duration delay =
       opts_.process_delay_mean +
-      sim::Duration{rng.uniform_int(-opts_.process_delay_spread.ns(),
-                                    opts_.process_delay_spread.ns())};
+      sim::Duration{rng_.uniform_int(-opts_.process_delay_spread.ns(),
+                                     opts_.process_delay_spread.ns())};
   const net::Endpoint client = s.client;
   host_.sim().after(delay, [this, client] {
     auto it = quic_.find(client);

@@ -70,6 +70,7 @@ class GoogleCloudApp {
 
   net::Host& host_;
   Options opts_;
+  sim::Rng& rng_;  // "cloud.google": processing delay
   std::unordered_map<net::TcpConnection*, TcpSession> tcp_;
   std::unordered_map<net::Endpoint, QuicSession> quic_;
   std::vector<ExecutedCommand> executed_;

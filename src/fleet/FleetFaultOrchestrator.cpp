@@ -5,18 +5,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "simcore/Rng.h"
+
 namespace vg::fleet {
 
 namespace {
-
-/// splitmix64 output function — the same finalizer WorldTemplate and
-/// scenario::Generator use for seed decorrelation.
-std::uint64_t splitmix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 // Per-purpose salts so the region hash, the refusal draw, the re-admission
 // stagger and the wave draws are mutually decorrelated.
@@ -29,7 +22,7 @@ constexpr std::uint64_t kWaveOffsetSalt = 0xF1EE7F00D5EED005ull;
 /// Deterministic uniform in [0,1) for (home, salt, event-index).
 double u01(std::uint64_t home_seed, std::uint64_t salt, std::size_t idx) {
   const std::uint64_t h =
-      splitmix64(home_seed ^ salt ^ (idx * 0x9E3779B97F4A7C15ull));
+      sim::splitmix64(home_seed ^ salt ^ (idx * 0x9E3779B97F4A7C15ull));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
@@ -177,8 +170,8 @@ void FleetFaultOrchestrator::validate_against_base(
 }
 
 std::uint32_t FleetFaultOrchestrator::region_of(std::uint64_t home_seed) const {
-  return static_cast<std::uint32_t>(splitmix64(home_seed ^ kRegionSalt) %
-                                    plan_.regions);
+  return static_cast<std::uint32_t>(
+      sim::splitmix64(home_seed ^ kRegionSalt) % plan_.regions);
 }
 
 std::size_t FleetFaultOrchestrator::apply(std::uint64_t home_seed,

@@ -8,19 +8,6 @@
 
 namespace vg::fleet {
 
-namespace {
-
-/// splitmix64 output function (same finalizer scenario::Generator uses):
-/// statistically independent 64-bit values from consecutive stream indices.
-std::uint64_t splitmix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 WorldTemplate::WorldTemplate(scenario::ScenarioSpec base)
     : base_(std::move(base)) {
   if (!base_.scripted()) {
@@ -49,7 +36,7 @@ WorldTemplate::WorldTemplate(scenario::ScenarioSpec base)
 
 std::uint64_t WorldTemplate::home_seed(std::uint64_t index) const {
   if (index == 0) return base_.seed;
-  return splitmix64(base_.seed + index * 0x9E3779B97F4A7C15ull);
+  return sim::splitmix64(base_.seed + index * 0x9E3779B97F4A7C15ull);
 }
 
 scenario::ScenarioSpec WorldTemplate::home_spec(std::uint64_t index) const {
@@ -64,7 +51,7 @@ scenario::ScenarioSpec WorldTemplate::home_spec(std::uint64_t index) const {
 
     // The jitter stream is decoupled from the home's world seed so changing
     // jitter bounds never perturbs in-world draws and vice versa.
-    sim::Rng rng{splitmix64(home_seed(index) ^ 0xF1EE7000F1EE7000ull)};
+    sim::Rng rng{sim::splitmix64(home_seed(index) ^ 0xF1EE7000F1EE7000ull)};
     const auto jitter_ms = static_cast<std::int64_t>(
         base_.population.command_jitter_s * 1000.0);
     const double flip = base_.population.attack_flip;

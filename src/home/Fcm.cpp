@@ -6,9 +6,8 @@
 namespace vg::home {
 
 sim::Duration FcmService::sample_latency() {
-  auto& rng = sim_.rng("home.fcm");
   const double secs =
-      rng.lognormal(opts_.latency_lognormal_mu, opts_.latency_lognormal_sigma);
+      rng_.lognormal(opts_.latency_lognormal_mu, opts_.latency_lognormal_sigma);
   sim::Duration d = sim::from_seconds(secs);
   d = std::clamp(d, opts_.min_latency, opts_.max_latency);
   return d;
@@ -30,8 +29,7 @@ void FcmService::push(const std::string& token, std::string payload) {
   const sim::TimePoint now = sim_.now();
   for (const FaultWindow& w : faults_) {
     if (now < w.start || now >= w.end) continue;
-    if (w.drop_prob > 0.0 &&
-        sim_.rng("home.fcm.fault").chance(w.drop_prob)) {
+    if (w.drop_prob > 0.0 && fault_rng_.chance(w.drop_prob)) {
       ++dropped_;
       return;
     }

@@ -32,7 +32,11 @@ class FcmService {
   };
 
   explicit FcmService(sim::Simulation& sim) : FcmService(sim, Options{}) {}
-  FcmService(sim::Simulation& sim, Options opts) : sim_(sim), opts_(opts) {}
+  FcmService(sim::Simulation& sim, Options opts)
+      : sim_(sim),
+        opts_(opts),
+        rng_(sim.rng("home.fcm")),
+        fault_rng_(sim.rng("home.fcm.fault")) {}
 
   using Handler = std::function<void(const std::string& payload)>;
 
@@ -66,6 +70,8 @@ class FcmService {
 
   sim::Simulation& sim_;
   Options opts_;
+  sim::Rng& rng_;
+  sim::Rng& fault_rng_;
   std::unordered_map<std::string, Handler> devices_;
   std::uint64_t pushes_{0};
   std::uint64_t dropped_{0};

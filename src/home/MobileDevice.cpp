@@ -11,7 +11,8 @@ MobileDevice::MobileDevice(sim::Simulation& sim, const radio::FloorPlan& plan,
       opts_(opts),
       carrier_(std::move(carrier_position)),
       scanner_(sim, plan, params, name_, [this] { return position(); },
-               opts.scan) {}
+               opts.scan),
+      uplink_rng_(sim.rng("home.device." + name_ + ".uplink")) {}
 
 radio::Vec3 MobileDevice::position() const {
   if (placed_) return *placed_;
@@ -25,8 +26,7 @@ void MobileDevice::handle_measure_request(
     return;
   }
   scanner_.measure(beacon, [this, report = std::move(report)](double rssi) {
-    auto& rng = sim_.rng("home.device." + name_ + ".uplink");
-    const sim::Duration uplink{rng.uniform_int(
+    const sim::Duration uplink{uplink_rng_.uniform_int(
         opts_.report_latency_min.ns(), opts_.report_latency_max.ns())};
     sim_.after(uplink, [report, rssi] { report(rssi); });
   });

@@ -92,6 +92,7 @@ class MobileDevice {
   radio::BluetoothScanner::PositionFn carrier_;
   std::optional<radio::Vec3> placed_;
   radio::BluetoothScanner scanner_;
+  sim::Rng& uplink_rng_;
   bool responsive_{true};
   std::uint64_t ignored_{0};
 };

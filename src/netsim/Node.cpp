@@ -44,7 +44,10 @@ Link::Link(Network& net, NetNode& a, NetNode& b, sim::Duration latency,
       b_(&b),
       latency_(latency),
       jitter_(jitter),
-      loss_rate_(loss_rate) {}
+      loss_rate_(loss_rate),
+      jitter_rng_(net.sim().rng("net.link.jitter")),
+      loss_rng_(net.sim().rng("net.link.loss")),
+      burst_rng_(net.sim().rng("net.link.burst")) {}
 
 NetNode& Link::peer_of(const NetNode& n) const {
   if (&n == a_) return *b_;
@@ -83,14 +86,13 @@ bool Link::fault_consumes(sim::TimePoint now, sim::Duration& extra) {
   }
   for (BurstWindow& w : bursts_) {
     if (now < w.start || now >= w.end) continue;
-    auto& rng = net_.sim().rng("net.link.burst");
     if (w.bad) {
-      if (rng.chance(w.params.p_exit_bad)) w.bad = false;
-    } else if (rng.chance(w.params.p_enter_bad)) {
+      if (burst_rng_.chance(w.params.p_exit_bad)) w.bad = false;
+    } else if (burst_rng_.chance(w.params.p_enter_bad)) {
       w.bad = true;
     }
     const double loss = w.bad ? w.params.loss_bad : w.params.loss_good;
-    if (loss > 0.0 && rng.chance(loss)) {
+    if (loss > 0.0 && burst_rng_.chance(loss)) {
       ++dropped_;
       ++burst_dropped_;
       return true;
@@ -114,16 +116,14 @@ void Link::send_from(NetNode& sender, Packet p) {
     return;
   }
 
-  if (loss_rate_ > 0.0 &&
-      net_.sim().rng("net.link.loss").chance(loss_rate_)) {
+  if (loss_rate_ > 0.0 && loss_rng_.chance(loss_rate_)) {
     ++dropped_;
     return;
   }
 
   sim::Duration d = latency_ + fault_extra;
   if (jitter_.ns() > 0) {
-    auto& rng = net_.sim().rng("net.link.jitter");
-    d += sim::Duration{rng.uniform_int(-jitter_.ns(), jitter_.ns())};
+    d += sim::Duration{jitter_rng_.uniform_int(-jitter_.ns(), jitter_.ns())};
   }
   if (d.ns() < 0) d = sim::Duration{0};
 

@@ -134,6 +134,9 @@ class Link {
   sim::Duration latency_;
   sim::Duration jitter_;
   double loss_rate_;
+  sim::Rng& jitter_rng_;
+  sim::Rng& loss_rng_;
+  sim::Rng& burst_rng_;
   std::uint64_t dropped_{0};
   std::uint64_t flap_dropped_{0};
   std::uint64_t burst_dropped_{0};

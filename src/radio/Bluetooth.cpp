@@ -11,19 +11,19 @@ BluetoothScanner::BluetoothScanner(sim::Simulation& sim, const FloorPlan& plan,
       name_(std::move(name)),
       pos_(std::move(pos)),
       scan_(scan),
-      cache_(plan, params, scan.cache_slots) {}
+      cache_(plan, params, scan.cache_slots),
+      rssi_rng_(sim.rng("radio.rssi." + name_)),
+      scan_rng_(sim.rng("radio.scan." + name_)) {}
 
 double BluetoothScanner::measure_now(const BluetoothBeacon& beacon) {
-  auto& rng = sim_.rng("radio.rssi." + name_);
-  double rssi = cache_.sample_rssi(beacon.position(), pos_(), rng);
+  double rssi = cache_.sample_rssi(beacon.position(), pos_(), rssi_rng_);
   if (scan_.quantize) rssi = std::round(rssi);
   return rssi;
 }
 
 void BluetoothScanner::measure(const BluetoothBeacon& beacon, MeasureCallback cb) {
-  auto& rng = sim_.rng("radio.scan." + name_);
   const sim::Duration latency{
-      rng.uniform_int(scan_.min_latency.ns(), scan_.max_latency.ns())};
+      scan_rng_.uniform_int(scan_.min_latency.ns(), scan_.max_latency.ns())};
   sim_.after(latency, [this, &beacon, cb = std::move(cb)] {
     cb(measure_now(beacon));
   });

@@ -80,6 +80,8 @@ class BluetoothScanner {
   PositionFn pos_;
   ScanParams scan_;
   PropagationCache cache_;
+  sim::Rng& rssi_rng_;
+  sim::Rng& scan_rng_;
 };
 
 }  // namespace vg::radio

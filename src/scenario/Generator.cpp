@@ -238,12 +238,8 @@ void gen_synthetic(sim::Rng& rng, ScenarioSpec& spec) {
 }  // namespace
 
 ScenarioSpec Generator::generate(std::uint64_t seed) {
-  // Decorrelate consecutive fuzz seeds before handing them to mt19937_64
-  // (splitmix64 finalizer).
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  sim::Rng rng{z ^ (z >> 31)};
+  // Decorrelate consecutive fuzz seeds.
+  sim::Rng rng{sim::splitmix64(seed)};
 
   ScenarioSpec spec;
   spec.name = "gen-" + std::to_string(seed);

@@ -92,8 +92,9 @@ class Simulation {
   /// Executes a bounded number of events (debugging aid). Returns how many ran.
   std::size_t step(std::size_t max_events = 1);
 
+  /// The named stream \p stream (see RngRegistry::stream): resolve it once
+  /// and keep the reference.
   Rng& rng(std::string_view stream) { return rngs_.stream(stream); }
-  RngRegistry& rngs() { return rngs_; }
 
   // --- per-episode memory ----------------------------------------------------
 

@@ -6,7 +6,12 @@ namespace vg::speaker {
 
 GoogleHomeMiniModel::GoogleHomeMiniModel(net::Host& host,
                                          net::Endpoint dns_server, Options opts)
-    : host_(host), dns_(host, dns_server), opts_(std::move(opts)) {}
+    : host_(host),
+      dns_(host, dns_server),
+      opts_(std::move(opts)),
+      rng_(host.sim().rng("speaker.ghm")),
+      traffic_rng_(host.sim().rng("speaker.ghm.traffic")),
+      playback_rng_(host.sim().rng("speaker.ghm.playback")) {}
 
 void GoogleHomeMiniModel::hear_command(const CommandSpec& cmd) {
   if (!powered_ || pending_) return;
@@ -27,11 +32,10 @@ void GoogleHomeMiniModel::hear_command(const CommandSpec& cmd) {
 void GoogleHomeMiniModel::start_interaction(const CommandSpec& cmd,
                                             sim::TimePoint wake,
                                             net::IpAddress server_ip) {
-  auto& rng = host_.sim().rng("speaker.ghm");
   pending_ = PendingInteraction{};
   pending_->cmd = cmd;
   pending_->wake_time = wake;
-  pending_->via_quic = rng.chance(opts_.quic_probability);
+  pending_->via_quic = rng_.chance(opts_.quic_probability);
   ++interaction_gen_;
 
   // The command upload completes just after the user stops speaking.
@@ -75,8 +79,7 @@ void GoogleHomeMiniModel::run_tcp(net::IpAddress server_ip) {
       if (!pending_->response_start) on_response_start();
       if (r.tag == "response-end") {
         // Speak the answer, then the interaction is over.
-        auto& rng = host_.sim().rng("speaker.ghm.playback");
-        const sim::Duration playback{rng.uniform_int(
+        const sim::Duration playback{playback_rng_.uniform_int(
             sim::seconds(2).ns(), sim::seconds(5).ns())};
         net::TcpConnection* conn = pending_->conn;
         host_.sim().after(playback, [this, igen, conn, alive] {
@@ -102,7 +105,7 @@ void GoogleHomeMiniModel::run_tcp(net::IpAddress server_ip) {
 }
 
 void GoogleHomeMiniModel::stream_command_tcp(std::uint64_t igen) {
-  auto& rng = host_.sim().rng("speaker.ghm.traffic");
+  sim::Rng& rng = traffic_rng_;
   auto send = [this, igen](std::uint32_t len, std::string_view tag) {
     if (!pending_ || igen != interaction_gen_ || pending_->conn == nullptr) return;
     net::TlsRecord r;
@@ -161,8 +164,7 @@ void GoogleHomeMiniModel::run_quic(net::IpAddress server_ip) {
       if (r.tag.starts_with("response")) {
         if (!pending_->response_start) on_response_start();
         if (r.tag == "response-end") {
-          auto& rng = host_.sim().rng("speaker.ghm.playback");
-          const sim::Duration playback{rng.uniform_int(
+          const sim::Duration playback{playback_rng_.uniform_int(
               sim::seconds(2).ns(), sim::seconds(5).ns())};
           host_.sim().after(playback, [this, igen] {
             if (!pending_ || igen != interaction_gen_) return;
@@ -177,7 +179,7 @@ void GoogleHomeMiniModel::run_quic(net::IpAddress server_ip) {
 
 void GoogleHomeMiniModel::stream_command_quic(std::uint64_t igen,
                                               net::IpAddress server_ip) {
-  auto& rng = host_.sim().rng("speaker.ghm.traffic");
+  sim::Rng& rng = traffic_rng_;
   const net::Endpoint local{host_.ip(), pending_->quic_local_port};
   const net::Endpoint remote{server_ip, opts_.port};
   auto send = [this, igen, local, remote](std::uint32_t len, std::string_view tag) {

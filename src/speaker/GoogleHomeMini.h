@@ -78,6 +78,9 @@ class GoogleHomeMiniModel {
   net::Host& host_;
   net::DnsClient dns_;
   Options opts_;
+  sim::Rng& rng_;           // "speaker.ghm": QUIC vs TCP per interaction
+  sim::Rng& traffic_rng_;   // "speaker.ghm.traffic": record lengths and gaps
+  sim::Rng& playback_rng_;  // "speaker.ghm.playback": answer lengths
   std::optional<PendingInteraction> pending_;
   std::uint64_t interaction_gen_{0};
   std::vector<InteractionResult> interactions_;

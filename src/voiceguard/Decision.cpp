@@ -54,7 +54,11 @@ RssiDecisionModule::RssiDecisionModule(sim::Simulation& sim,
                                        home::FcmService& fcm,
                                        const radio::BluetoothBeacon& beacon,
                                        Options opts)
-    : DecisionModule(sim), fcm_(fcm), beacon_(beacon), opts_(opts) {}
+    : DecisionModule(sim),
+      fcm_(fcm),
+      beacon_(beacon),
+      opts_(opts),
+      backoff_rng_(sim.rng("guard.fcm.backoff")) {}
 
 void RssiDecisionModule::register_device(home::MobileDevice& device,
                                          double threshold,
@@ -111,8 +115,7 @@ void RssiDecisionModule::do_query(Verdict verdict) {
 
 sim::Duration RssiDecisionModule::retry_delay(sim::Duration base) {
   if (opts_.fcm_retry_jitter <= 0.0) return base;
-  auto& rng = sim_.rng("guard.fcm.backoff");
-  const double u = rng.uniform(0.0, opts_.fcm_retry_jitter);
+  const double u = backoff_rng_.uniform(0.0, opts_.fcm_retry_jitter);
   return sim::Duration{base.ns() - static_cast<std::int64_t>(
                                        static_cast<double>(base.ns()) * u)};
 }

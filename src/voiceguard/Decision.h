@@ -226,6 +226,7 @@ class RssiDecisionModule : public DecisionModule {
   home::FcmService& fcm_;
   const radio::BluetoothBeacon& beacon_;
   Options opts_;
+  sim::Rng& backoff_rng_;  // "guard.fcm.backoff": retry jitter
   std::vector<Registered> devices_;
   std::unordered_map<std::uint64_t, PendingQuery> pending_;
   std::uint64_t next_query_id_{1};

@@ -70,19 +70,22 @@ class ExperimentDriver {
   [[nodiscard]] std::uint64_t night_attacks() const { return night_attacks_; }
 
  private:
-  void owner_episode(sim::Rng& rng);
-  void attack_episode(sim::Rng& rng);
-  void put_owners_to_bed(sim::Rng& rng);
+  void owner_episode();
+  void attack_episode();
+  void put_owners_to_bed();
   [[nodiscard]] bool is_night() const;
   void issue_and_judge(bool malicious, const std::string& issuer);
   /// A random location anywhere that is NOT the speaker's room (other rooms,
   /// other floor, or just outside the home).
-  radio::Vec3 random_away_location(sim::Rng& rng) const;
+  radio::Vec3 random_away_location() const;
   std::string owner_rooms_string() const;
 
   SmartHomeWorld& world_;
   ExperimentConfig cfg_;
   const CommandCorpus& corpus_;
+  sim::Rng& rng_;           // "experiment": episode timing and choices
+  sim::Rng& spots_rng_;     // "experiment.spots": command positions
+  sim::Rng& commands_rng_;  // "experiment.commands": corpus samples
   std::vector<CommandOutcome> outcomes_;
   std::uint64_t next_cmd_id_{1};
   std::uint64_t legit_issued_{0};
