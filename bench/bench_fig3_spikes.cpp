@@ -27,6 +27,11 @@ void run_case(guard::GuardMode mode) {
   speaker::EchoDotModel::Options eopts;
   eopts.misc_connection_mean = sim::Duration{0};
   eopts.phase1.irregular_prob = 0.0;
+  // Each game schedule takes 4 s to read out, so every response segment's
+  // telemetry spike follows a no-traffic period longer than the 3 s gap
+  // that separates spikes (a drawn length can fall under it and merge two).
+  eopts.segment_playback_min = sim::seconds(4);
+  eopts.segment_playback_max = sim::seconds(4);
   speaker::EchoDotModel echo{h.speaker_host, h.farm.dns_endpoint(),
                              [&h] { return h.farm.current_avs_ip(); }, eopts};
   echo.power_on();

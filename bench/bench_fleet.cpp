@@ -7,7 +7,10 @@
 /// really is the cost of N live homes, not N sequential ones.
 ///
 /// Env knobs: VG_FLEET_HOMES (default 250000), VG_FLEET_SHARDS (default 8),
-/// VG_FLEET_RESIDENT (default 0 = whole shard range resident).
+/// VG_FLEET_RESIDENT (default 0 = whole shard range resident),
+/// VG_FLEET_WORKERS (default 0 = min(shards, hardware threads)). Peak RSS
+/// grows with the shards in flight at once, so compare fleet lines only at
+/// equal worker counts (bench/baseline.jsonl records its own).
 ///
 /// Emits a machine-readable line:
 ///   BENCH_JSON {"bench":"fleet",...,"homes_per_sec":...,
@@ -77,6 +80,7 @@ int main() {
   const auto shards =
       static_cast<unsigned>(env_u64("VG_FLEET_SHARDS", 8));
   const std::uint64_t resident = env_u64("VG_FLEET_RESIDENT", 0);
+  const auto workers = static_cast<unsigned>(env_u64("VG_FLEET_WORKERS", 0));
 
   bench::header("Fleet throughput (concurrent homes per box)",
                 "src/fleet/ — wake-calendar scheduling, streaming stats");
@@ -112,6 +116,7 @@ int main() {
   cfg.homes = homes;
   cfg.shards = shards;
   cfg.max_resident = resident;
+  cfg.workers = workers;
 
   fleet::WakeTelemetry tel;
   const auto t1 = clock::now();

@@ -11,7 +11,9 @@
 /// reconnect storm bounded (no unbudgeted retry hammering).
 ///
 /// Env knobs: VG_FLEET_CHAOS_HOMES (default 10000), VG_FLEET_CHAOS_SHARDS
-/// (default 8), VG_FLEET_CHAOS_PLAN (default "correlated-storm").
+/// (default 8), VG_FLEET_CHAOS_PLAN (default "correlated-storm"),
+/// VG_FLEET_CHAOS_WORKERS (default 0 = min(shards, hardware threads);
+/// homes_per_sec compares only at equal worker counts).
 ///
 /// Emits a machine-readable line:
 ///   BENCH_JSON {"bench":"fleet_chaos",...,"time_to_fleet_recovery_ms":...,
@@ -75,6 +77,8 @@ int main() {
   const std::uint64_t homes = env_u64("VG_FLEET_CHAOS_HOMES", 10000);
   const auto shards =
       static_cast<unsigned>(env_u64("VG_FLEET_CHAOS_SHARDS", 8));
+  const auto workers =
+      static_cast<unsigned>(env_u64("VG_FLEET_CHAOS_WORKERS", 0));
   const char* plan_env = std::getenv("VG_FLEET_CHAOS_PLAN");
   const std::string plan_name =
       (plan_env != nullptr && *plan_env != '\0') ? plan_env
@@ -116,10 +120,12 @@ int main() {
   fleet::FleetConfig cfg;
   cfg.homes = homes;
   cfg.shards = shards;
+  cfg.workers = workers;
 
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
-  const fleet::AggregateStats stats = fleet::run_fleet(tmpl, cfg);
+  fleet::WakeTelemetry tel;
+  const fleet::AggregateStats stats = fleet::run_fleet(tmpl, cfg, &tel);
   const double run_s =
       std::chrono::duration<double>(clock::now() - t0).count();
 
@@ -156,8 +162,9 @@ int main() {
 
   std::printf("plan      : %s (%s)\n", plan_name.c_str(),
               plan->to_string().c_str());
-  std::printf("run       : %llu homes, %u shard(s), %.3f s wall\n",
-              static_cast<unsigned long long>(homes), shards, run_s);
+  std::printf("run       : %llu homes, %u shard(s), %u worker(s), %.3f s wall\n",
+              static_cast<unsigned long long>(homes), shards, tel.workers,
+              run_s);
   std::printf("%s\n", stats.to_string().c_str());
   std::printf("recovery  : fleet %.1f ms, mean %.1f ms over %llu sample(s), "
               "%.2f reconnects/home\n",
@@ -167,13 +174,13 @@ int main() {
 
   std::printf(
       "\nBENCH_JSON {\"bench\":\"fleet_chaos\",\"plan\":\"%s\","
-      "\"homes\":%llu,\"shards\":%u,\"run_seconds\":%.3f,"
+      "\"homes\":%llu,\"shards\":%u,\"workers\":%u,\"run_seconds\":%.3f,"
       "\"homes_per_sec\":%.0f,\"orchestrated_homes\":%llu,"
       "\"orchestrated_faults\":%llu,\"recovery_samples\":%llu,"
       "\"time_to_fleet_recovery_ms\":%.3f,\"mean_recovery_ms\":%.3f,"
       "\"reconnects_per_home\":%.3f}\n",
       plan_name.c_str(), static_cast<unsigned long long>(homes), shards,
-      run_s, homes_per_sec,
+      tel.workers, run_s, homes_per_sec,
       static_cast<unsigned long long>(c.orchestrated_homes),
       static_cast<unsigned long long>(c.orchestrated_faults),
       static_cast<unsigned long long>(stats.recovery_samples()), ttfr_ms,

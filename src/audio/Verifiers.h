@@ -16,9 +16,9 @@ namespace vg::audio {
 
 class VoiceMatchVerifier {
  public:
-  /// Enrolls the owner from \p samples live utterances (the setup-phase
-  /// training of commercial speakers). Threshold = max enrollment distance
-  /// x margin.
+  /// Enrolls the owner from \p samples (at least 2) live utterances (the
+  /// setup-phase training of commercial speakers). Threshold = max
+  /// leave-one-out enrollment distance x margin.
   void enroll(const SpeakerProfile& owner, sim::Rng& rng, int samples = 8,
               double margin = 1.35);
 

@@ -500,6 +500,75 @@ TEST(FleetFaultIntegration, ResiliencePolicyReachesTheHomes) {
   EXPECT_GE(a.time_to_fleet_recovery_ns(), b.time_to_fleet_recovery_ns());
   EXPECT_EQ(a.counters().unrecovered_homes, 0u);
   EXPECT_EQ(b.counters().unrecovered_homes, 0u);
+  // Without the backoff a refused speaker retries every 0.4-1.6 s, so every
+  // home has its cloud session back within 2.5 s of its last fault. Later
+  // re-establishments (a blocked attack makes the cloud kill the session)
+  // are not recovery.
+  EXPECT_LT(b.time_to_fleet_recovery_ns(), 2'500'000'000u);
+}
+
+/// A population of homes with wan-flap-long's command script and WAN flap
+/// (30 s after boot), the flap cut to \p flap_s seconds. The flap starts
+/// with every session settled; the second command falls 10 s into it.
+scenario::ScenarioSpec wan_flap_spec(int flap_s) {
+  return scenario::ScenarioLoader::load(
+      std::string{R"([scenario]
+name = fleet-wan-flap
+kind = home
+seed = 77
+
+[home]
+testbed = apartment
+deployment = 1
+owners = 1
+
+[guard]
+mode = voiceguard
+
+[schedule]
+command = 10 legit
+command = 40 attack
+command = 70 legit
+command = 100 attack
+command = 130 legit
+command = 160 attack
+drain_s = 215
+
+[population]
+homes = 8
+command_jitter_s = 1
+attack_flip = 0.25
+
+[faults]
+may_break_connections = on
+link = wan flap 30 )"} +
+      std::to_string(flap_s) + "\n");
+}
+
+TEST(FleetFaultIntegration, FatalWanFlapRecoveryIsTheReconnect) {
+  // wan-flap-long's 45 s flap swallows the command sent 10 s into it. Its
+  // retransmissions back off past the flap's end and time out ~30 s later,
+  // which drops the speaker's session; the AVS side (no keep-alive) still
+  // looked live when the flap ended. The home is back only when the
+  // speaker's reconnect reaches the AVS, never at the flap's end.
+  const WorldTemplate tmpl{wan_flap_spec(45)};
+  const AggregateStats stats = run_fleet_serial(tmpl, 0, tmpl.homes());
+  EXPECT_EQ(stats.recovery_samples(), tmpl.homes());
+  EXPECT_EQ(stats.counters().unrecovered_homes, 0u);
+  EXPECT_GT(stats.time_to_fleet_recovery_ns(), 0u);
+  // Most homes lose their session that way; a home whose session the cloud
+  // closed in order (a blocked attack) recovers in 0.
+  EXPECT_GT(stats.mean_recovery_s(), 15.0);
+}
+
+TEST(FleetFaultIntegration, ShortWanFlapSessionSurvives) {
+  // A 5 s flap is well inside the retransmit budget: every session rides it
+  // out, so every home recovers in 0.
+  const WorldTemplate tmpl{wan_flap_spec(5)};
+  const AggregateStats stats = run_fleet_serial(tmpl, 0, tmpl.homes());
+  EXPECT_EQ(stats.recovery_samples(), tmpl.homes());
+  EXPECT_EQ(stats.counters().unrecovered_homes, 0u);
+  EXPECT_EQ(stats.time_to_fleet_recovery_ns(), 0u);
 }
 
 }  // namespace

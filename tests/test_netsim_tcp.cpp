@@ -157,6 +157,29 @@ TEST(Tcp, AbortSendsRst) {
   EXPECT_EQ(server_reason, TcpCloseReason::kReset);
 }
 
+TEST(Tcp, AbortInAcceptHandlerResetsAfterTheHandshake) {
+  // A server refusing inside its accept handler (the AVS pool during a
+  // capacity outage): the handshake completes, then the connection is reset
+  // on both sides instead of living on with no application attached.
+  TcpWorld w;
+  w.b.tcp().listen(443, [](TcpConnection& c) { c.abort(); });
+  bool established = false, closed = false;
+  TcpCloseReason reason{};
+  TcpCallbacks cbs;
+  cbs.on_established = [&] { established = true; };
+  cbs.on_closed = [&](TcpCloseReason r) {
+    closed = true;
+    reason = r;
+  };
+  w.a.tcp().connect(Endpoint{w.b.ip(), 443}, std::move(cbs));
+  w.sim.run_until(sim::TimePoint{} + sim::seconds(1));
+  EXPECT_TRUE(established);
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(reason, TcpCloseReason::kReset);
+  EXPECT_EQ(w.a.tcp().connection_count(), 0u);
+  EXPECT_EQ(w.b.tcp().connection_count(), 0u);
+}
+
 TEST(Tcp, DataAfterCloseIsDiscarded) {
   TcpWorld w;
   std::size_t received = 0;
