@@ -180,7 +180,6 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
   net::IpAddress avs_ip{};
   net::IpAddress google_ip{};
 
-  const std::int64_t* const stream_when = b.when_ns.data();
   const std::int64_t* const up_when = b.up_when.data();
   const std::uint32_t* const up_len = b.up_len.data();
   const std::uint32_t* const up_pos = b.up_pos.data();
@@ -271,7 +270,9 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
         // and timers whose time the row's timestamp has reached (the oracle
         // pops those before processing the record).
         const PendingEv& top = ev_heap_.front();
-        const std::int64_t rec_when = stream_when[rec];
+        const std::int64_t rec_when = dpos < cpos
+                                          ? b.dns[di].when_ns
+                                          : b.flows[k].first_seen.ns();
         if (top.when_ns < rec_when ||
             (top.when_ns == rec_when &&
              (top.tier == 0 || top.row < rec))) {
@@ -299,7 +300,7 @@ void BatchReplayer::run(const ColumnBatch& b, BatchReplayResult& out) {
     if (k == nf) break;
 
     const TraceFlow& tf = b.flows[k];
-    const std::int64_t created = stream_when[cpos];
+    const std::int64_t created = tf.first_seen.ns();
     FlowPlan f{};
     f.created_ns = created;
     f.udp = tf.protocol == net::Protocol::kUdp;

@@ -188,6 +188,7 @@ class ByteCursor {
     return v;
   }
   std::uint64_t varint() {
+    if (p_ != end_ && *p_ < 0x80) return *p_++;  // one-byte fast path
     std::uint64_t v = 0;
     int shift = 0;
     for (;;) {
@@ -196,7 +197,7 @@ class ByteCursor {
       if (shift >= 64 || (shift == 63 && (b & 0x7E) != 0)) {
         throw TraceError{"varint overflows 64 bits"};
       }
-      v |= std::uint64_t{b & 0x7F} << shift;
+      v |= (std::uint64_t{b} & 0x7F) << shift;
       if ((b & 0x80) == 0) return v;
       shift += 7;
     }
@@ -216,10 +217,13 @@ class ByteCursor {
   }
 
  private:
+  // The bounds check inlines into every read; the throw stays out of line.
   void need(std::size_t n, const char* what) const {
-    if (remaining() < n) {
-      throw TraceError{std::string{"truncated trace: expected "} + what};
-    }
+    if (remaining() < n) [[unlikely]] truncated(what);
+  }
+  [[noreturn, gnu::noinline, gnu::cold]] static void truncated(
+      const char* what) {
+    throw TraceError{std::string{"truncated trace: expected "} + what};
   }
 
   const std::uint8_t* p_;

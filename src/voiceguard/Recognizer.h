@@ -54,8 +54,8 @@ inline constexpr std::size_t kDecisionWindow = 7;
 inline constexpr std::size_t kSpikePrefixKeep = 8;
 
 /// Length-class bits: which role(s) a wire length can play in the rule table
-/// above. The columnar replay path computes one class byte per record with
-/// vectorizable compares over a length column (trace::BatchDecoder); records
+/// above. The columnar replay path stores one class byte per upstream record
+/// as it decodes, from a table of this function (trace::BatchDecoder); records
 /// whose class is 0 can neither complete nor keep alive any rule, so the
 /// batch replayer routes them through SpikeClassifier::feed_nonrule instead
 /// of the full per-record rule evaluation.

@@ -1,5 +1,6 @@
 #include "workload/ScenarioFuzz.h"
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -107,26 +108,10 @@ std::optional<trace::ReplayResult> check_trace(
     fail(out, std::string{"batch decode: "} + e.what());
     return replay;
   }
-  if (batch.size() != reader.records().size() ||
-      batch.flows.size() != reader.flows().size() ||
-      batch.end_time != reader.end_time()) {
-    fail(out, "batch decode: column shape differs from TraceReader");
+  if (const std::string diff = column_parity_error(reader, batch);
+      !diff.empty()) {
+    fail(out, "batch decode: " + diff);
     return replay;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const trace::TraceRecord& want = reader.records()[i];
-    const trace::TraceRecord got = batch.record(i);
-    if (got.kind != want.kind || got.when != want.when ||
-        got.flow != want.flow || got.upstream != want.upstream ||
-        got.tls_type != want.tls_type || got.length != want.length ||
-        got.domain_code != want.domain_code ||
-        got.dns_answer != want.dns_answer ||
-        got.fault_code != want.fault_code ||
-        got.fault_param != want.fault_param) {
-      fail(out, "batch decode: record " + std::to_string(i) +
-                    " differs from TraceReader");
-      return replay;
-    }
   }
   const trace::ReplayResult columnar =
       trace::BatchReplayer{}.run(batch).to_replay_result();
@@ -308,6 +293,107 @@ Outcome check_impl(const scenario::ScenarioSpec& spec) {
 }
 
 }  // namespace
+
+std::string column_parity_error(const trace::TraceReader& reader,
+                                const trace::ColumnBatch& batch) {
+  using trace::FrameKind;
+  const std::vector<trace::TraceRecord>& recs = reader.records();
+  const std::vector<trace::TraceFlow>& flows = reader.flows();
+  const trace::TraceMeta& meta = reader.meta();
+  if (batch.meta.scenario != meta.scenario || batch.meta.seed != meta.seed ||
+      batch.meta.avs_domain != meta.avs_domain ||
+      batch.meta.google_domain != meta.google_domain) {
+    return "header metadata differs";
+  }
+  if (batch.size() != recs.size()) return "record count differs";
+  if (batch.end_time != reader.end_time()) return "end time differs";
+  if (batch.flows.size() != flows.size() ||
+      batch.flow_begin_at.size() != flows.size()) {
+    return "flow count differs";
+  }
+  for (std::size_t k = 0; k < flows.size(); ++k) {
+    const trace::TraceFlow& a = batch.flows[k];
+    const trace::TraceFlow& b = flows[k];
+    if (a.protocol != b.protocol || a.speaker != b.speaker ||
+        a.server != b.server || a.first_seen != b.first_seen) {
+      return "flow " + std::to_string(k) + " differs";
+    }
+  }
+  const std::vector<std::uint32_t>& off = batch.up_offsets;
+  if (off.size() != flows.size() + 1 || off.front() != 0 ||
+      !std::is_sorted(off.begin(), off.end()) ||
+      batch.up_when.size() != off.back() || batch.up_len.size() != off.back() ||
+      batch.up_pos.size() != off.back() || batch.up_cls.size() != off.back() ||
+      batch.up_tls.size() != off.back()) {
+    return "postings are malformed";
+  }
+
+  // Walk the records in stream order: each upstream data record must be its
+  // flow's next posting, each DNS answer / fault the next side-table entry.
+  std::vector<std::uint32_t> next(off.begin(), off.end() - 1);
+  std::size_t di = 0;
+  std::size_t fi = 0;
+  std::uint64_t tls = 0;
+  std::uint64_t dgrams = 0;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const trace::TraceRecord& r = recs[i];
+    const std::int64_t when = r.when.ns();
+    switch (r.kind) {
+      case FrameKind::kTlsRecord:
+      case FrameKind::kDatagram: {
+        const bool is_tls = r.kind == FrameKind::kTlsRecord;
+        ++(is_tls ? tls : dgrams);
+        if (!r.upstream) break;
+        const auto k = static_cast<std::size_t>(r.flow);
+        const std::uint32_t j = next[k]++;
+        if (j >= off[k + 1] || batch.up_when[j] != when ||
+            batch.up_len[j] != r.length || batch.up_pos[j] != i ||
+            batch.up_cls[j] != guard::rules::len_class(r.length) ||
+            batch.up_tls[j] != (is_tls ? 1 : 0)) {
+          return "record " + std::to_string(i) + " differs from its posting";
+        }
+        break;
+      }
+      case FrameKind::kDnsAnswer: {
+        if (di == batch.dns.size() || batch.dns[di].index != i ||
+            batch.dns[di].when_ns != when ||
+            batch.dns[di].domain_code != r.domain_code ||
+            batch.dns[di].answer != r.dns_answer) {
+          return "DNS answer at record " + std::to_string(i) + " differs";
+        }
+        ++di;
+        break;
+      }
+      case FrameKind::kFlowBegin:
+        if (batch.flow_begin_at[static_cast<std::size_t>(r.flow)] != i) {
+          return "flow begin at record " + std::to_string(i) + " differs";
+        }
+        break;
+      case FrameKind::kFault: {
+        if (fi == batch.faults.size() || batch.faults[fi].index != i ||
+            batch.faults[fi].when_ns != when ||
+            batch.faults[fi].code != r.fault_code ||
+            batch.faults[fi].param != r.fault_param) {
+          return "fault at record " + std::to_string(i) + " differs";
+        }
+        ++fi;
+        break;
+      }
+    }
+  }
+  if (di != batch.dns.size() || fi != batch.faults.size()) {
+    return "side tables hold extra entries";
+  }
+  for (std::size_t k = 0; k < flows.size(); ++k) {
+    if (next[k] != off[k + 1]) {
+      return "flow " + std::to_string(k) + " holds extra postings";
+    }
+  }
+  if (batch.tls_records != tls || batch.datagrams != dgrams) {
+    return "tallies differ";
+  }
+  return {};
+}
 
 void set_population_check(PopulationCheck check) {
   g_population_check = std::move(check);

@@ -11,11 +11,24 @@
 /// The generative invariant harness: for each fuzz seed, generate a scenario
 /// (scenario::Generator), round-trip it through the `.scn` serializer +
 /// loader, run it, and assert the chaos/degradation invariants plus trace
-/// round-trip equivalence (TraceReader vs BatchDecoder column parity,
+/// round-trip equivalence (TraceReader vs BatchDecoder postings parity,
 /// per-record Replayer vs columnar BatchReplayer, live guard vs replay).
 /// A failing seed reports a one-line repro: `vgscn run --seed N`.
 
+namespace vg::trace {
+class TraceReader;
+struct ColumnBatch;
+}  // namespace vg::trace
+
 namespace vg::workload {
+
+/// How \p batch differs from \p reader, both decoded from the same bytes:
+/// metadata, flows and their begin rows, the DNS and fault side tables with
+/// their times, each flow's postings against that flow's upstream data
+/// records in stream order (time, length, row, length class, TLS bit), the
+/// tallies, size() and end_time. Empty when they agree.
+std::string column_parity_error(const trace::TraceReader& reader,
+                                const trace::ColumnBatch& batch);
 
 /// Every invariant violation found while checking \p spec (empty = clean).
 /// Each entry is a single human-readable sentence naming the violated

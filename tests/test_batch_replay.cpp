@@ -1,9 +1,11 @@
-/// Equivalence suite for the columnar replay path: BatchDecoder column-for-
-/// field parity against TraceReader (including varint-boundary lengths and
-/// fault frames), SpikeClassifier::feed_nonrule against feed, BatchReplayer
-/// against the per-record Replayer oracle over the golden corpus and a large
-/// randomized trace population, and the mmap/fread input paths against each
-/// other.
+/// Equivalence suite for the columnar replay path: BatchDecoder postings and
+/// side tables against TraceReader (including varint-boundary lengths and
+/// fault frames), its error text against TraceReader's over every corruption
+/// and truncation of the golden corpus, SpikeClassifier::feed_nonrule against
+/// feed, BatchReplayer against the per-record Replayer oracle over the golden
+/// corpus and a large randomized trace population, the allocation-free
+/// steady state of decode + replay, and the mmap/fread input paths against
+/// each other.
 
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +21,11 @@
 #include "trace/TraceReader.h"
 #include "trace/TraceWriter.h"
 #include "voiceguard/GuardBox.h"
+#include "workload/ScenarioFuzz.h"
+
+// Counts every global allocation in this binary (the alloc-regression case
+// below reads it); include in exactly one TU per binary.
+#include "testutil/CountingAllocator.h"
 
 using namespace vg;
 using trace::BatchDecoder;
@@ -212,44 +219,18 @@ void expect_decoder_parity(const std::vector<std::uint8_t>& bytes,
   const TraceReader reader = TraceReader::parse(bytes);
   const ColumnBatch batch = BatchDecoder::decode(
       std::span<const std::uint8_t>{bytes.data(), bytes.size()});
+  ASSERT_EQ(workload::column_parity_error(reader, batch), "") << context;
+}
 
-  ASSERT_EQ(batch.size(), reader.records().size()) << context;
-  ASSERT_EQ(batch.meta.scenario, reader.meta().scenario) << context;
-  ASSERT_EQ(batch.meta.seed, reader.meta().seed) << context;
-  ASSERT_EQ(batch.meta.avs_domain, reader.meta().avs_domain) << context;
-  ASSERT_EQ(batch.meta.google_domain, reader.meta().google_domain) << context;
-  ASSERT_EQ(batch.flows.size(), reader.flows().size()) << context;
-  for (std::size_t i = 0; i < batch.flows.size(); ++i) {
-    ASSERT_EQ(batch.flows[i].protocol, reader.flows()[i].protocol) << context;
-    ASSERT_EQ(batch.flows[i].speaker, reader.flows()[i].speaker) << context;
-    ASSERT_EQ(batch.flows[i].server, reader.flows()[i].server) << context;
-    ASSERT_EQ(batch.flows[i].first_seen, reader.flows()[i].first_seen)
-        << context;
+/// The TraceError text \p parse throws, or "" if it returns.
+template <class Parse>
+std::string error_of(Parse&& parse) {
+  try {
+    parse();
+  } catch (const trace::TraceError& e) {
+    return e.what();
   }
-  ASSERT_EQ(batch.end_time, reader.end_time()) << context;
-
-  std::uint64_t tls = 0;
-  std::uint64_t dgrams = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const trace::TraceRecord& want = reader.records()[i];
-    const trace::TraceRecord got = batch.record(i);
-    ASSERT_EQ(got.kind, want.kind) << context << " record " << i;
-    ASSERT_EQ(got.when, want.when) << context << " record " << i;
-    ASSERT_EQ(got.flow, want.flow) << context << " record " << i;
-    ASSERT_EQ(got.upstream, want.upstream) << context << " record " << i;
-    ASSERT_EQ(got.tls_type, want.tls_type) << context << " record " << i;
-    ASSERT_EQ(got.length, want.length) << context << " record " << i;
-    ASSERT_EQ(got.domain_code, want.domain_code) << context << " record " << i;
-    ASSERT_EQ(got.dns_answer, want.dns_answer) << context << " record " << i;
-    ASSERT_EQ(got.fault_code, want.fault_code) << context << " record " << i;
-    ASSERT_EQ(got.fault_param, want.fault_param) << context << " record " << i;
-    ASSERT_EQ(batch.rule_class[i], guard::rules::len_class(want.length))
-        << context << " record " << i;
-    tls += want.kind == FrameKind::kTlsRecord;
-    dgrams += want.kind == FrameKind::kDatagram;
-  }
-  ASSERT_EQ(batch.tls_records, tls) << context;
-  ASSERT_EQ(batch.datagrams, dgrams) << context;
+  return "";
 }
 
 TEST(BatchDecoder, VarintBoundaryLengthsAndFaults) {
@@ -297,7 +278,7 @@ TEST(BatchDecoder, EmptyTraceDecodesAndReplaysToNothing) {
       std::span<const std::uint8_t>{bytes.data(), bytes.size()});
   EXPECT_EQ(batch.size(), 0u);
   EXPECT_TRUE(batch.flows.empty());
-  EXPECT_TRUE(batch.attention.empty());
+  EXPECT_TRUE(batch.up_when.empty());
   // The counting-sort prefix sums must still be well-formed over zero flows.
   ASSERT_EQ(batch.up_offsets.size(), 1u);
   EXPECT_EQ(batch.up_offsets[0], 0u);
@@ -355,9 +336,9 @@ TEST(BatchDecoder, SingleRecordTraces) {
 
 TEST(BatchDecoder, FinalFrameFaultEndsTheTraceCleanly) {
   // A spike is still accumulating when the last frame arrives, and that last
-  // frame is a fault annotation: flowless, skipped by the attention mask,
-  // yet it defines end_time and the spike must still finalize at end of
-  // trace exactly like the oracle.
+  // frame is a fault annotation: flowless and in no posting, yet it defines
+  // end_time and the spike must still finalize at end of trace exactly like
+  // the oracle.
   TraceWriter::Meta meta;
   meta.scenario = "tail-fault";
   meta.seed = 6;
@@ -379,8 +360,9 @@ TEST(BatchDecoder, FinalFrameFaultEndsTheTraceCleanly) {
       std::span<const std::uint8_t>{bytes.data(), bytes.size()});
   ASSERT_EQ(batch.faults.size(), 1u);
   EXPECT_EQ(batch.faults[0].index, batch.size() - 1);
+  EXPECT_EQ(batch.faults[0].when_ns, at_ms(2002).ns());
   // The tail fault contributes tallies but no recognition work.
-  EXPECT_EQ((batch.attention.back() >> ((batch.size() - 1) % 64)) & 1, 0u);
+  EXPECT_EQ(batch.up_offsets.back(), 2u);
   EXPECT_EQ(batch.end_time, at_ms(2002));
 
   const trace::ReplayResult r = boundary_parity(bytes, "tail-fault");
@@ -397,27 +379,99 @@ TEST(BatchDecoder, MatchesTraceReaderOnRandomTraces) {
 }
 
 TEST(BatchDecoder, RejectsCorruptionLikeTraceReader) {
-  const std::vector<std::uint8_t> good = random_trace(99).bytes;
-  // Flip one byte at a time across a sample of offsets: wherever the strict
-  // reader objects, the decoder must object too (and vice versa).
-  for (std::size_t pos = 0; pos < good.size(); pos += 7) {
-    std::vector<std::uint8_t> bad = good;
-    bad[pos] ^= 0x41;
-    bool reader_throws = false;
-    bool decoder_throws = false;
-    try {
-      (void)TraceReader::parse(bad);
-    } catch (const trace::TraceError&) {
-      reader_throws = true;
-    }
-    try {
-      (void)BatchDecoder::decode(
-          std::span<const std::uint8_t>{bad.data(), bad.size()});
-    } catch (const trace::TraceError&) {
-      decoder_throws = true;
-    }
-    ASSERT_EQ(reader_throws, decoder_throws) << "offset " << pos;
+  // Every single-byte corruption (four XOR masks at every offset) and every
+  // truncation of every golden trace and of one random trace: the decoder
+  // must fail exactly when the strict reader does, with the same message.
+  // One batch is reused throughout, so a failed decode must also leave it
+  // fit for the next one.
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> inputs;
+  for (const std::string& path : golden_corpus()) {
+    inputs.emplace_back(path, trace::read_file(path));
   }
+  inputs.emplace_back("random trace 99", random_trace(99).bytes);
+  ColumnBatch batch;
+  std::size_t cases = 0;
+  for (const auto& [path, good] : inputs) {
+    const auto expect_same = [&](const std::vector<std::uint8_t>& bad,
+                                 const std::string& what) {
+      const std::string want =
+          error_of([&] { (void)TraceReader::parse(bad); });
+      const std::string got = error_of([&] {
+        BatchDecoder::decode(
+            std::span<const std::uint8_t>{bad.data(), bad.size()}, batch);
+      });
+      ASSERT_EQ(want, got) << path << ": " << what;
+      ++cases;
+    };
+    for (std::size_t pos = 0; pos < good.size(); ++pos) {
+      for (const std::uint8_t mask : {0x01, 0x41, 0x80, 0xFF}) {
+        std::vector<std::uint8_t> bad = good;
+        bad[pos] ^= mask;
+        expect_same(bad, "offset " + std::to_string(pos) + " ^ " +
+                             std::to_string(mask));
+      }
+      const auto cut = good.begin() + static_cast<std::ptrdiff_t>(pos);
+      expect_same({good.begin(), cut}, "truncated to " + std::to_string(pos));
+    }
+  }
+  EXPECT_GT(cases, 100'000u);
+}
+
+TEST(BatchDecoder, HostileHeaderFrameCountsFailLikeTraceReader) {
+  // The frame count sits outside every CRC. A count the stream does not
+  // hold must give TraceReader's error, and the decoder's scratch must stay
+  // bounded by the input (a frame is at least 6 bytes) however large the
+  // claim.
+  for (const std::string& path : golden_corpus()) {
+    const std::vector<std::uint8_t> good = trace::read_file(path);
+    const std::uint64_t real = TraceReader::parse(good).records().size();
+    for (const std::uint64_t claim :
+         {std::uint64_t{1} << 63, real + 1, real - 1}) {
+      std::vector<std::uint8_t> bad = good;
+      for (int i = 0; i < 8; ++i) {
+        bad[trace::kFrameCountOffset + i] =
+            static_cast<std::uint8_t>(claim >> (8 * i));
+      }
+      const std::string want =
+          error_of([&] { (void)TraceReader::parse(bad); });
+      ASSERT_NE(want, "") << path << " claim " << claim;
+      ColumnBatch batch;
+      const std::string got = error_of([&] {
+        BatchDecoder::decode(
+            std::span<const std::uint8_t>{bad.data(), bad.size()}, batch);
+      });
+      EXPECT_EQ(want, got) << path << " claim " << claim;
+      EXPECT_LE(batch.up_rows_cap, bad.size() / 6)
+          << path << " claim " << claim;
+    }
+  }
+}
+
+// --- steady-state allocations -----------------------------------------------
+
+TEST(BatchReplayAlloc, SteadyStateDecodeAndReplayAllocateNothing) {
+  // The bench and `vgtrace` loop: decode into one reused batch, replay into
+  // one reused result. Once a warm-up pass has grown every buffer to its
+  // high-water mark, a whole pass over the corpus allocates nothing.
+  std::vector<TraceBytes> traces;
+  for (const std::string& path : golden_corpus()) {
+    traces.push_back(TraceBytes::from_file(path));
+  }
+  traces.push_back(TraceBytes::from_vector(random_trace(7).bytes));
+  ColumnBatch batch;
+  BatchReplayer replayer;
+  trace::BatchReplayResult result;
+  std::uint64_t spikes = 0;
+  const auto pass = [&] {
+    for (const TraceBytes& t : traces) {
+      BatchDecoder::decode(t.span(), batch);
+      replayer.run(batch, result);
+      spikes += result.spikes.size();
+    }
+  };
+  pass();
+  EXPECT_EQ(testutil::allocations_during(pass), 0u);
+  EXPECT_GT(spikes, 0u);
 }
 
 // --- feed_nonrule vs feed ---------------------------------------------------

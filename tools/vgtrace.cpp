@@ -181,7 +181,7 @@ void print_fault_annotations(const trace::ColumnBatch& b) {
   std::printf("\ninjected faults (%zu):\n", b.faults.size());
   for (const trace::ColumnBatch::FaultEvent& ev : b.faults) {
     std::printf("  %-12s %-14s param %llu\n",
-                sim::format_time(sim::TimePoint{b.when_ns[ev.index]}).c_str(),
+                sim::format_time(sim::TimePoint{ev.when_ns}).c_str(),
                 trace::fault_code_name(ev.code),
                 static_cast<unsigned long long>(ev.param));
   }
