@@ -29,7 +29,7 @@
 #include "simcore/BatchRunner.h"
 // Counting operator new/delete (one TU per binary): global allocations during
 // the serial run divided by kernel events gives allocs/event.
-#include "testutil/CountingAllocator.h"
+#include "testutil/AllocationCount.h"
 #include "workload/TrialRunner.h"
 
 using namespace vg;

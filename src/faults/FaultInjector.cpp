@@ -1,34 +1,15 @@
 #include "faults/FaultInjector.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace vg::faults {
 
 namespace {
 
-void require(bool ok, const std::string& what) {
-  if (!ok) throw std::invalid_argument{"FaultInjector: " + what};
-}
-
-/// Half-open [start, end) windows; end -1 is open-ended (a device fault with
-/// duration 0 never recovers). Touching windows are fine, overlap is not:
-/// two flaps on the same link would double-toggle it, two outages would
-/// re-enable the cloud mid-window. Mirrors ScenarioLoader's check so a plan
-/// built in C++ obeys the same rules as one loaded from `.scn`.
-void check_no_overlap(std::vector<std::pair<std::int64_t, std::int64_t>> ws,
-                      const std::string& what, const std::string& plan) {
-  std::sort(ws.begin(), ws.end());
-  for (std::size_t i = 1; i < ws.size(); ++i) {
-    require(ws[i - 1].second >= 0 && ws[i].first >= ws[i - 1].second,
-            "overlapping " + what + " windows in plan '" + plan + "'");
-  }
+[[noreturn]] void fail(const std::string& what) {
+  throw std::invalid_argument{"FaultInjector: " + what};
 }
 
 }  // namespace
@@ -36,104 +17,8 @@ void check_no_overlap(std::vector<std::pair<std::int64_t, std::int64_t>> ws,
 net::Link& FaultInjector::link_for(LinkFault::Where where) const {
   net::Link* link =
       where == LinkFault::Where::kLan ? targets_.lan : targets_.wan;
-  require(link != nullptr, "plan targets a link that is not wired");
+  if (link == nullptr) fail("plan targets a link that is not wired");
   return *link;
-}
-
-void FaultInjector::validate(const FaultPlan& plan) const {
-  for (const LinkFault& f : plan.links) {
-    require(f.start.ns() >= 0 && f.duration.ns() >= 0,
-            "negative link-fault time in plan '" + plan.name + "'");
-    link_for(f.where);  // throws when the link is missing
-    if (f.kind == LinkFault::Kind::kLatencySpike) {
-      require(f.extra_latency.ns() >= 0,
-              "negative latency spike in plan '" + plan.name + "'");
-    }
-  }
-  for (const CloudOutage& f : plan.cloud) {
-    require(f.start.ns() >= 0 && f.duration.ns() >= 0,
-            "negative cloud-outage time in plan '" + plan.name + "'");
-    require(targets_.cloud != nullptr,
-            "plan '" + plan.name + "' needs a cloud target");
-  }
-  for (const CloudBrownout& f : plan.brownouts) {
-    require(f.start.ns() >= 0 && f.duration.ns() >= 0 &&
-                f.extra_latency.ns() >= 0,
-            "negative cloud-brownout time in plan '" + plan.name + "'");
-    require(targets_.cloud != nullptr,
-            "plan '" + plan.name + "' needs a cloud target");
-  }
-  for (const FcmFault& f : plan.fcm) {
-    require(f.start.ns() >= 0 && f.duration.ns() >= 0 &&
-                f.extra_delay.ns() >= 0,
-            "negative fcm-fault time in plan '" + plan.name + "'");
-    require(f.drop_prob >= 0.0 && f.drop_prob <= 1.0,
-            "fcm drop_prob out of [0,1] in plan '" + plan.name + "'");
-    require(targets_.fcm != nullptr,
-            "plan '" + plan.name + "' needs an fcm target");
-  }
-  for (const DeviceFault& f : plan.devices) {
-    require(f.start.ns() >= 0 && f.duration.ns() >= 0,
-            "negative device-fault time in plan '" + plan.name + "'");
-    require(f.device >= 0 &&
-                f.device < static_cast<int>(targets_.devices.size()) &&
-                targets_.devices[f.device] != nullptr,
-            "plan '" + plan.name + "' targets missing device " +
-                std::to_string(f.device));
-  }
-  for (const GuardRestart& f : plan.restarts) {
-    require(f.at.ns() >= 0,
-            "negative restart time in plan '" + plan.name + "'");
-    require(targets_.guard != nullptr,
-            "plan '" + plan.name + "' needs a guard target");
-  }
-
-  // Same grouping as the `.scn` loader: link faults may only collide within
-  // one (link, kind) pair, cloud/fcm windows within their category, device
-  // faults per device.
-  std::vector<std::pair<std::int64_t, std::int64_t>> by_group[2][3];
-  for (const LinkFault& f : plan.links) {
-    by_group[static_cast<int>(f.where)][static_cast<int>(f.kind)].emplace_back(
-        f.start.ns(), (f.start + f.duration).ns());
-  }
-  for (auto& where : by_group) {
-    for (auto& ws : where) {
-      check_no_overlap(std::move(ws), "link-fault", plan.name);
-    }
-  }
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> cloud;
-  for (const CloudOutage& f : plan.cloud) {
-    cloud.emplace_back(f.start.ns(), (f.start + f.duration).ns());
-  }
-  check_no_overlap(std::move(cloud), "cloud-outage", plan.name);
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> brownouts;
-  for (const CloudBrownout& f : plan.brownouts) {
-    brownouts.emplace_back(f.start.ns(), (f.start + f.duration).ns());
-  }
-  check_no_overlap(std::move(brownouts), "cloud-brownout", plan.name);
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> fcm;
-  for (const FcmFault& f : plan.fcm) {
-    fcm.emplace_back(f.start.ns(), (f.start + f.duration).ns());
-  }
-  check_no_overlap(std::move(fcm), "fcm-fault", plan.name);
-
-  std::map<int, std::vector<std::pair<std::int64_t, std::int64_t>>> devices;
-  for (const DeviceFault& f : plan.devices) {
-    devices[f.device].emplace_back(
-        f.start.ns(), f.duration.ns() == 0 ? -1 : (f.start + f.duration).ns());
-  }
-  for (auto& [dev, ws] : devices) {
-    check_no_overlap(std::move(ws), "device-fault", plan.name);
-  }
-
-  std::set<std::int64_t> restart_at;
-  for (const GuardRestart& f : plan.restarts) {
-    require(restart_at.insert(f.at.ns()).second,
-            "duplicate guard restart instant in plan '" + plan.name + "'");
-  }
 }
 
 void FaultInjector::note(FaultEvent::Kind kind, std::uint64_t param) {
@@ -147,7 +32,29 @@ void FaultInjector::note(FaultEvent::Kind kind, std::uint64_t param) {
 }
 
 void FaultInjector::arm(const FaultPlan& plan) {
-  validate(plan);
+  // The plan's own rules are the ones the `.scn` loader applies; arm adds
+  // only that every target the plan acts on is wired.
+  if (auto v = validate(plan, targets_.devices.size())) {
+    fail(v->describe(plan.name));
+  }
+  for (const LinkFault& f : plan.links) link_for(f.where);
+  if ((!plan.cloud.empty() || !plan.brownouts.empty()) &&
+      targets_.cloud == nullptr) {
+    fail("plan '" + plan.name + "' needs a cloud target");
+  }
+  if (!plan.fcm.empty() && targets_.fcm == nullptr) {
+    fail("plan '" + plan.name + "' needs an fcm target");
+  }
+  for (const DeviceFault& f : plan.devices) {
+    if (targets_.devices[f.device] == nullptr) {
+      fail("plan '" + plan.name + "' targets missing device " +
+           std::to_string(f.device));
+    }
+  }
+  if (!plan.restarts.empty() && targets_.guard == nullptr) {
+    fail("plan '" + plan.name + "' needs a guard target");
+  }
+
   const sim::TimePoint t0 = sim_.now();
 
   for (const LinkFault& f : plan.links) {
@@ -155,30 +62,25 @@ void FaultInjector::arm(const FaultPlan& plan) {
     const sim::TimePoint start = t0 + f.start;
     const sim::TimePoint end = start + f.duration;
     const auto param = static_cast<std::uint64_t>(f.where);
+    auto on = FaultEvent::Kind::kFlapStart;
+    auto off = FaultEvent::Kind::kFlapEnd;
     switch (f.kind) {
       case LinkFault::Kind::kFlap:
         link.add_flap(start, end);
-        sim_.at(start,
-                [this, param] { note(FaultEvent::Kind::kFlapStart, param); });
-        sim_.at(end,
-                [this, param] { note(FaultEvent::Kind::kFlapEnd, param); });
         break;
       case LinkFault::Kind::kBurst:
         link.add_burst_loss(start, end, f.ge);
-        sim_.at(start,
-                [this, param] { note(FaultEvent::Kind::kBurstStart, param); });
-        sim_.at(end,
-                [this, param] { note(FaultEvent::Kind::kBurstEnd, param); });
+        on = FaultEvent::Kind::kBurstStart;
+        off = FaultEvent::Kind::kBurstEnd;
         break;
       case LinkFault::Kind::kLatencySpike:
         link.add_latency_spike(start, end, f.extra_latency);
-        sim_.at(start, [this, param] {
-          note(FaultEvent::Kind::kLatencyStart, param);
-        });
-        sim_.at(end,
-                [this, param] { note(FaultEvent::Kind::kLatencyEnd, param); });
+        on = FaultEvent::Kind::kLatencyStart;
+        off = FaultEvent::Kind::kLatencyEnd;
         break;
     }
+    sim_.at(start, [this, on, param] { note(on, param); });
+    sim_.at(end, [this, off, param] { note(off, param); });
   }
 
   for (const CloudOutage& f : plan.cloud) {

@@ -12,13 +12,13 @@
 #include "voiceguard/GuardBox.h"
 
 /// \file FaultInjector.h
-/// Arms a FaultPlan against a concrete testbed. arm() validates the plan
-/// against the wired targets (throws std::invalid_argument on negative times
-/// or references to missing targets), installs link/FCM windows at absolute
-/// times, and schedules the discrete faults (cloud outage, device crash,
-/// guard restart) plus a boundary FaultEvent for every window. The injector
-/// uses no randomness of its own, so an armed plan perturbs nothing outside
-/// its windows.
+/// Arms a FaultPlan against a concrete testbed. arm() checks the plan with
+/// faults::validate (the `.scn` loader's validator) and against the wired
+/// targets (throws std::invalid_argument on either), installs link/FCM
+/// windows at absolute times, and schedules the discrete faults (cloud
+/// outage, device crash, guard restart) plus a boundary FaultEvent for every
+/// window. The injector uses no randomness of its own, so an armed plan
+/// perturbs nothing outside its windows.
 
 namespace vg::faults {
 
@@ -52,7 +52,6 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t injected() const { return injected_; }
 
  private:
-  void validate(const FaultPlan& plan) const;
   void note(FaultEvent::Kind kind, std::uint64_t param);
   net::Link& link_for(LinkFault::Where where) const;
 

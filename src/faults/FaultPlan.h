@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,38 @@ struct FaultPlan {
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
+
+/// The entry lists a plan violation can point into: the six FaultPlan
+/// categories, then fleet::FleetFaultPlan's region count and event lists.
+enum class PlanGroup : std::uint8_t {
+  kLink, kCloud, kBrownout, kFcm, kDevice, kRestart,
+  kRegions, kFleetFcm, kCapacity, kWan, kWave,
+};
+inline constexpr std::size_t kPlanGroups = 11;
+
+/// Why a plan is rejected: the offending entry (an index into its group's
+/// list) and, when the reason ends by naming another entry ("... overlaps the
+/// one", "... collides with the base [faults] window"), that entry too.
+struct PlanViolation {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  PlanGroup group{PlanGroup::kLink};
+  std::size_t index{0};
+  PlanGroup other_group{PlanGroup::kLink};
+  std::size_t other{kNone};
+  std::string reason;
+
+  /// "<reason>[ from entry <other>] in plan '<plan>'".
+  [[nodiscard]] std::string describe(const std::string& plan) const;
+};
+
+/// Every rule a FaultPlan obeys on its own, for a testbed with \p devices
+/// owner devices: non-negative times, drop_prob in [0,1], device indices in
+/// range, no overlap within a group (link faults per link and kind, device
+/// faults per device) and no two guard restarts at one instant. Whether the
+/// targets are wired is FaultInjector::arm's concern.
+std::optional<PlanViolation> validate(const FaultPlan& plan,
+                                      std::size_t devices);
 
 /// One injected fault boundary, as it happened. Kind values are stable and
 /// mirror trace::FaultCode numerically so observers can forward them into

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "faults/FaultPlan.h"
 #include "simcore/Simulation.h"
 
 /// \file FleetFaultPlan.h
@@ -14,8 +15,9 @@
 /// lives here — so FleetFaultOrchestrator can expand the same plan into
 /// bit-identical per-home faults::FaultPlans at any shard count.
 ///
-/// Header-only on purpose: scenario:: holds one of these inside ScenarioSpec
-/// (the `[fleet_faults]` section) without linking against vg_fleet.
+/// The types keep the fleet namespace but live in vg_faults next to
+/// faults::FaultPlan, so the `.scn` loader (the `[fleet_faults]` section) and
+/// the orchestrator share one validator without vg_scenario linking vg_fleet.
 
 namespace vg::fleet {
 
@@ -131,5 +133,13 @@ struct FleetFaultPlan {
 
   friend bool operator==(const FleetFaultPlan&, const FleetFaultPlan&) = default;
 };
+
+/// Every rule a fleet plan obeys for \p homes homes that all run \p base:
+/// region bounds, per-event ranges, no overlap within a region (a capacity
+/// event spans its recovery spread too) and no window colliding with a base
+/// window of the group the injector merges it into.
+std::optional<faults::PlanViolation> validate(const FleetFaultPlan& plan,
+                                              std::uint64_t homes,
+                                              const faults::FaultPlan& base);
 
 }  // namespace vg::fleet

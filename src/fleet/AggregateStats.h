@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "fleet/FleetFaultPlan.h"
+#include "faults/FleetFaultPlan.h"
 #include "workload/ChaosScenarios.h"
 
 /// \file AggregateStats.h

@@ -1,6 +1,5 @@
 #include "fleet/FleetFaultOrchestrator.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -26,147 +25,15 @@ double u01(std::uint64_t home_seed, std::uint64_t salt, std::size_t idx) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-void require(bool ok, const std::string& what) {
-  if (!ok) throw std::invalid_argument{"FleetFaultPlan: " + what};
-}
-
-using Window = std::pair<std::int64_t, std::int64_t>;
-
-void check_no_overlap(std::vector<Window> ws, const std::string& what,
-                      const std::string& plan) {
-  std::sort(ws.begin(), ws.end());
-  for (std::size_t i = 1; i < ws.size(); ++i) {
-    require(ws[i].first >= ws[i - 1].second,
-            "overlapping " + what + " windows in plan '" + plan + "'");
-  }
-}
-
-/// No window of \p a may intersect any window of \p b (both half-open).
-void check_disjoint(const std::vector<Window>& a, const std::vector<Window>& b,
-                    const std::string& what, const std::string& plan) {
-  for (const Window& x : a) {
-    for (const Window& y : b) {
-      require(x.second <= y.first || y.second <= x.first,
-              what + " window collides with the base plan in '" + plan + "'");
-    }
-  }
-}
-
-/// The per-home cloud window a capacity event can grow to (refusal plus the
-/// longest load-coupled re-admission stagger).
-Window capacity_envelope(const CloudCapacityEvent& e) {
-  return {e.start.ns(), (e.start + e.duration + e.recovery_spread).ns()};
-}
-
 }  // namespace
 
 FleetFaultOrchestrator::FleetFaultOrchestrator(FleetFaultPlan plan,
-                                               std::uint64_t homes)
-    : plan_(std::move(plan)), homes_(homes) {
-  validate(plan_, homes_);
-}
-
-void FleetFaultOrchestrator::validate(const FleetFaultPlan& plan,
-                                      std::uint64_t homes) {
-  require(plan.regions >= 1 && plan.regions <= kMaxRegions,
-          "regions out of [1," + std::to_string(kMaxRegions) + "] in plan '" +
-              plan.name + "'");
-  require(homes >= plan.regions,
-          "more regions than homes (guaranteed zero-home regions) in plan '" +
-              plan.name + "'");
-
-  std::vector<Window> fcm_by_region[kMaxRegions];
-  for (const RegionalFcmOutage& o : plan.fcm_outages) {
-    require(o.region < plan.regions, "fcm-outage region out of range in plan '" +
-                                         plan.name + "'");
-    require(o.start.ns() >= 0 && o.duration.ns() >= 0 &&
-                o.extra_delay.ns() >= 0,
-            "negative fcm-outage time in plan '" + plan.name + "'");
-    require(o.drop_prob >= 0.0 && o.drop_prob <= 1.0,
-            "fcm-outage drop_prob out of [0,1] in plan '" + plan.name + "'");
-    fcm_by_region[o.region].emplace_back(o.start.ns(),
-                                         (o.start + o.duration).ns());
+                                               std::uint64_t homes,
+                                               const faults::FaultPlan& base)
+    : plan_(std::move(plan)) {
+  if (auto v = validate(plan_, homes, base)) {
+    throw std::invalid_argument{"FleetFaultPlan: " + v->describe(plan_.name)};
   }
-  for (auto& ws : fcm_by_region) {
-    check_no_overlap(std::move(ws), "regional fcm-outage", plan.name);
-  }
-
-  std::vector<Window> envelopes;
-  for (const CloudCapacityEvent& e : plan.cloud_capacity) {
-    require(e.start.ns() >= 0 && e.duration.ns() >= 0 &&
-                e.recovery_spread.ns() >= 0 && e.extra_latency.ns() >= 0,
-            "negative cloud-capacity time in plan '" + plan.name + "'");
-    require(e.fraction > 0.0 && e.fraction <= 1.0,
-            "cloud-capacity fraction out of (0,1] in plan '" + plan.name +
-                "'");
-    envelopes.push_back(capacity_envelope(e));
-  }
-  check_no_overlap(std::move(envelopes), "cloud-capacity", plan.name);
-
-  std::vector<Window> wan_by_region[kMaxRegions];
-  for (const WanDegradeWindow& w : plan.wan_degrades) {
-    require(w.region < plan.regions,
-            "wan-degrade region out of range in plan '" + plan.name + "'");
-    require(w.start.ns() >= 0 && w.duration.ns() >= 0 &&
-                w.extra_latency.ns() >= 0,
-            "negative wan-degrade time in plan '" + plan.name + "'");
-    wan_by_region[w.region].emplace_back(w.start.ns(),
-                                         (w.start + w.duration).ns());
-  }
-  for (auto& ws : wan_by_region) {
-    check_no_overlap(std::move(ws), "regional wan-degrade", plan.name);
-  }
-
-  for (const GuardRestartWave& w : plan.restart_waves) {
-    require(w.start.ns() >= 0 && w.stagger.ns() >= 0,
-            "negative restart-wave time in plan '" + plan.name + "'");
-    require(w.fraction > 0.0 && w.fraction <= 1.0,
-            "restart-wave fraction out of (0,1] in plan '" + plan.name + "'");
-  }
-}
-
-void FleetFaultOrchestrator::validate_against_base(
-    const faults::FaultPlan& base) const {
-  std::vector<Window> fleet_fcm;
-  for (const RegionalFcmOutage& o : plan_.fcm_outages) {
-    fleet_fcm.emplace_back(o.start.ns(), (o.start + o.duration).ns());
-  }
-  std::vector<Window> base_fcm;
-  for (const faults::FcmFault& f : base.fcm) {
-    base_fcm.emplace_back(f.start.ns(), (f.start + f.duration).ns());
-  }
-  check_disjoint(fleet_fcm, base_fcm, "regional fcm-outage", plan_.name);
-
-  std::vector<Window> fleet_cloud;
-  std::vector<Window> fleet_brownout;
-  for (const CloudCapacityEvent& e : plan_.cloud_capacity) {
-    fleet_cloud.push_back(capacity_envelope(e));
-    fleet_brownout.emplace_back(e.start.ns(), (e.start + e.duration).ns());
-  }
-  std::vector<Window> base_cloud;
-  for (const faults::CloudOutage& f : base.cloud) {
-    base_cloud.emplace_back(f.start.ns(), (f.start + f.duration).ns());
-  }
-  std::vector<Window> base_brownout;
-  for (const faults::CloudBrownout& f : base.brownouts) {
-    base_brownout.emplace_back(f.start.ns(), (f.start + f.duration).ns());
-  }
-  check_disjoint(fleet_cloud, base_cloud, "cloud-capacity", plan_.name);
-  check_disjoint(fleet_brownout, base_brownout, "cloud-capacity brownout",
-                 plan_.name);
-
-  std::vector<Window> fleet_wan;
-  for (const WanDegradeWindow& w : plan_.wan_degrades) {
-    fleet_wan.emplace_back(w.start.ns(), (w.start + w.duration).ns());
-  }
-  std::vector<Window> base_wan_latency;
-  for (const faults::LinkFault& f : base.links) {
-    if (f.where == faults::LinkFault::Where::kWan &&
-        f.kind == faults::LinkFault::Kind::kLatencySpike) {
-      base_wan_latency.emplace_back(f.start.ns(), (f.start + f.duration).ns());
-    }
-  }
-  check_disjoint(fleet_wan, base_wan_latency, "wan-degrade", plan_.name);
 }
 
 std::uint32_t FleetFaultOrchestrator::region_of(std::uint64_t home_seed) const {
@@ -246,23 +113,6 @@ std::size_t FleetFaultOrchestrator::apply(std::uint64_t home_seed,
   }
 
   return added;
-}
-
-sim::Duration FleetFaultOrchestrator::last_window_end() const {
-  sim::Duration end{};
-  for (const RegionalFcmOutage& o : plan_.fcm_outages) {
-    end = std::max(end, o.start + o.duration);
-  }
-  for (const CloudCapacityEvent& e : plan_.cloud_capacity) {
-    end = std::max(end, e.start + e.duration + e.recovery_spread);
-  }
-  for (const WanDegradeWindow& w : plan_.wan_degrades) {
-    end = std::max(end, w.start + w.duration);
-  }
-  for (const GuardRestartWave& w : plan_.restart_waves) {
-    end = std::max(end, w.start + w.stagger);
-  }
-  return end;
 }
 
 // --- named plans -------------------------------------------------------------

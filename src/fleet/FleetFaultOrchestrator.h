@@ -5,16 +5,16 @@
 #include <vector>
 
 #include "faults/FaultPlan.h"
-#include "fleet/FleetFaultPlan.h"
+#include "faults/FleetFaultPlan.h"
 
 /// \file FleetFaultOrchestrator.h
 /// Expands a FleetFaultPlan into per-home faults::FaultPlans, validate-
 /// before-install style: the constructor rejects malformed plans (bad region
-/// fractions, overlapping regional windows, regions guaranteed empty) before
-/// anything is armed, and apply() is a pure function of (plan, home seed) —
-/// no cross-home or cross-shard state — so serial and sharded fleet runs
-/// derive bit-identical faults for every home regardless of shard layout or
-/// residency order.
+/// fractions, overlapping regional windows, regions guaranteed empty, windows
+/// meeting the base plan) before anything is armed, and apply() is a pure
+/// function of (plan, home seed) — no cross-home or cross-shard state — so
+/// serial and sharded fleet runs derive bit-identical faults for every home
+/// regardless of shard layout or residency order.
 ///
 /// Determinism contract:
 ///  - region_of(home_seed) hashes the seed (splitmix64) into [0, regions);
@@ -28,18 +28,10 @@ namespace vg::fleet {
 
 class FleetFaultOrchestrator {
  public:
-  /// Validates \p plan for a fleet of \p homes (throws std::invalid_argument)
-  /// and captures it.
-  FleetFaultOrchestrator(FleetFaultPlan plan, std::uint64_t homes);
-
-  /// The constructor's validation, exposed for negative-path tests and the
-  /// `.scn` loader mirror.
-  static void validate(const FleetFaultPlan& plan, std::uint64_t homes);
-
-  /// Rejects fleet windows that would collide with the population's base
-  /// per-home plan (same overlap groups FaultInjector::arm enforces); the
-  /// base plan applies to every home, so any regional window may meet it.
-  void validate_against_base(const faults::FaultPlan& base) const;
+  /// Checks \p plan with fleet::validate for a fleet of \p homes that all
+  /// run \p base (throws std::invalid_argument) and captures it.
+  FleetFaultOrchestrator(FleetFaultPlan plan, std::uint64_t homes,
+                         const faults::FaultPlan& base);
 
   [[nodiscard]] std::uint32_t region_of(std::uint64_t home_seed) const;
 
@@ -49,16 +41,8 @@ class FleetFaultOrchestrator {
   /// it (refusal outages, restart waves).
   std::size_t apply(std::uint64_t home_seed, faults::FaultPlan& out) const;
 
-  /// Conservative upper bound (relative to arm) on the last instant any
-  /// orchestrated window can still be active in any home.
-  [[nodiscard]] sim::Duration last_window_end() const;
-
-  [[nodiscard]] const FleetFaultPlan& plan() const { return plan_; }
-  [[nodiscard]] std::uint64_t homes() const { return homes_; }
-
  private:
   FleetFaultPlan plan_;
-  std::uint64_t homes_;
 };
 
 /// Named orchestrated plans for `vgscn fleet --fault-plan` and the chaos

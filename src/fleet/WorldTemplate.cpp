@@ -18,9 +18,8 @@ WorldTemplate::WorldTemplate(scenario::ScenarioSpec base)
   // Validate-before-install: a malformed fleet plan (or one colliding with
   // the base [faults]) is rejected before any world is built or armed.
   if (!base_.fleet_faults.empty() || base_.fleet_faults.resilience.any()) {
-    orchestrator_ =
-        std::make_unique<FleetFaultOrchestrator>(base_.fleet_faults, homes());
-    orchestrator_->validate_against_base(base_.faults);
+    orchestrator_ = std::make_unique<FleetFaultOrchestrator>(
+        base_.fleet_faults, homes(), base_.faults);
   }
   workload::WorldConfig cfg = workload::world_config_from_spec(base_);
   testbed_ = std::make_unique<home::Testbed>(workload::make_testbed(cfg.testbed));

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "faults/FaultPlan.h"
-#include "fleet/FleetFaultPlan.h"
+#include "faults/FleetFaultPlan.h"
 #include "netsim/Address.h"
 #include "netsim/Packet.h"
 #include "simcore/Time.h"

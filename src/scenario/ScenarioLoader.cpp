@@ -1,12 +1,10 @@
 #include "scenario/ScenarioLoader.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -56,6 +54,13 @@ double parse_double(const ScnEntry& e, const std::string& tok,
   return v;
 }
 
+/// Whether an outage resets live sessions on the way down.
+bool parse_rst(const ScnEntry& e, const std::string& tok) {
+  if (tok == "rst") return true;
+  if (tok == "norst") return false;
+  fail(e, "expected rst or norst, got '" + tok + "'");
+}
+
 bool parse_bool(const ScnEntry& e, const std::string& tok) {
   if (tok == "on" || tok == "true") return true;
   if (tok == "off" || tok == "false") return false;
@@ -65,12 +70,12 @@ bool parse_bool(const ScnEntry& e, const std::string& tok) {
 /// Seconds as a decimal number, or an exact "<ns>ns" count (the serializer
 /// falls back to the latter when no decimal-seconds string round-trips).
 sim::Duration parse_duration(const ScnEntry& e, const std::string& tok,
-                             const std::string& what) {
+                             const std::string& what, double per_second = 1) {
   if (tok.size() > 2 && tok.compare(tok.size() - 2, 2, "ns") == 0) {
     return sim::Duration{
         parse_i64(e, tok.substr(0, tok.size() - 2), what)};
   }
-  return sim::from_seconds(parse_double(e, tok, what));
+  return sim::from_seconds(parse_double(e, tok, what) / per_second);
 }
 
 sim::Duration parse_nonneg_duration(const ScnEntry& e, const std::string& tok,
@@ -100,12 +105,18 @@ void need_tokens(const ScnEntry& e, const std::vector<std::string>& toks,
   if (toks.size() < n) fail(e, "expected '" + shape + "'");
 }
 
-/// "key=value" named argument, or nullopt when \p tok has no '='.
-std::optional<std::pair<std::string, std::string>> named_arg(
-    const std::string& tok) {
-  const std::size_t eq = tok.find('=');
-  if (eq == std::string::npos) return std::nullopt;
-  return std::make_pair(tok.substr(0, eq), tok.substr(eq + 1));
+/// Calls \p on(name, value) for each "name=value" token from \p first on,
+/// failing on the first token without a '='.
+template <class On>
+void for_each_arg(const ScnEntry& e, const std::vector<std::string>& toks,
+                  std::size_t first, On on) {
+  for (std::size_t i = first; i < toks.size(); ++i) {
+    const std::size_t eq = toks[i].find('=');
+    if (eq == std::string::npos) {
+      fail(e, "expected name=value argument, got '" + toks[i] + "'");
+    }
+    on(toks[i].substr(0, eq), toks[i].substr(eq + 1));
+  }
 }
 
 double parse_prob(const ScnEntry& e, const std::string& tok,
@@ -119,17 +130,39 @@ double parse_prob(const ScnEntry& e, const std::string& tok,
 /// fallback contract as parse_duration; the serializer emits whichever
 /// round-trips).
 sim::Duration parse_extra_ms(const ScnEntry& e, const std::string& v) {
-  sim::Duration d;
-  if (v.size() > 2 && v.compare(v.size() - 2, 2, "ns") == 0) {
-    d = sim::Duration{parse_i64(e, v.substr(0, v.size() - 2), "extra_ms")};
-  } else {
-    d = sim::from_seconds(parse_double(e, v, "extra_ms") / 1000.0);
-  }
+  const sim::Duration d = parse_duration(e, v, "extra_ms", 1000.0);
   if (d.ns() < 0) fail(e, "extra_ms must be >= 0");
   return d;
 }
 
 // --- per-section decoders ---------------------------------------------------
+
+/// The lone "[extra_ms=X]" argument of [faults] brownout and [fleet_faults]
+/// wan_degrade.
+void decode_extra_ms_arg(const ScnEntry& e,
+                         const std::vector<std::string>& toks,
+                         std::size_t first, sim::Duration& extra) {
+  for_each_arg(e, toks, first, [&](const auto& key, const auto& value) {
+    if (key != "extra_ms") fail(e, "unknown argument '" + key + "'");
+    extra = parse_extra_ms(e, value);
+  });
+}
+
+/// The "[delay_s=X] [drop=P]" arguments shared by [faults] fcm and
+/// [fleet_faults] fcm_outage.
+template <class Fcm>
+void decode_fcm_args(const ScnEntry& e, const std::vector<std::string>& toks,
+                     std::size_t first, Fcm& f) {
+  for_each_arg(e, toks, first, [&](const auto& key, const auto& value) {
+    if (key == "delay_s") {
+      f.extra_delay = parse_nonneg_duration(e, value, "delay_s");
+    } else if (key == "drop") {
+      f.drop_prob = parse_prob(e, value, "drop");
+    } else {
+      fail(e, "unknown argument '" + key + "'");
+    }
+  });
+}
 
 faults::LinkFault decode_link_fault(const ScnEntry& e) {
   const auto toks = scn_tokens(e.value);
@@ -154,28 +187,26 @@ faults::LinkFault decode_link_fault(const ScnEntry& e) {
   }
   f.start = parse_nonneg_duration(e, toks[2], "start");
   f.duration = parse_nonneg_duration(e, toks[3], "duration");
-  for (std::size_t i = 4; i < toks.size(); ++i) {
-    const auto kv = named_arg(toks[i]);
-    if (!kv) fail(e, "expected name=value argument, got '" + toks[i] + "'");
+  for_each_arg(e, toks, 4, [&](const auto& key, const auto& value) {
     const bool burst = f.kind == faults::LinkFault::Kind::kBurst;
-    if (kv->first == "extra_ms") {
+    if (key == "extra_ms") {
       if (f.kind != faults::LinkFault::Kind::kLatencySpike) {
         fail(e, "extra_ms only applies to latency faults");
       }
-      f.extra_latency = parse_extra_ms(e, kv->second);
-    } else if (kv->first == "enter" && burst) {
-      f.ge.p_enter_bad = parse_prob(e, kv->second, "enter");
-    } else if (kv->first == "exit" && burst) {
-      f.ge.p_exit_bad = parse_prob(e, kv->second, "exit");
-    } else if (kv->first == "loss_good" && burst) {
-      f.ge.loss_good = parse_prob(e, kv->second, "loss_good");
-    } else if (kv->first == "loss_bad" && burst) {
-      f.ge.loss_bad = parse_prob(e, kv->second, "loss_bad");
+      f.extra_latency = parse_extra_ms(e, value);
+    } else if (key == "enter" && burst) {
+      f.ge.p_enter_bad = parse_prob(e, value, "enter");
+    } else if (key == "exit" && burst) {
+      f.ge.p_exit_bad = parse_prob(e, value, "exit");
+    } else if (key == "loss_good" && burst) {
+      f.ge.loss_good = parse_prob(e, value, "loss_good");
+    } else if (key == "loss_bad" && burst) {
+      f.ge.loss_bad = parse_prob(e, value, "loss_bad");
     } else {
-      fail(e, "unknown or misplaced argument '" + kv->first + "' for a " +
+      fail(e, "unknown or misplaced argument '" + key + "' for a " +
                   toks[1] + " fault");
     }
-  }
+  });
   return f;
 }
 
@@ -270,31 +301,6 @@ ExpectedSpike decode_expect(const ScnEntry& e) {
   return sp;
 }
 
-// --- cross-field validation -------------------------------------------------
-
-/// Half-open fault windows; duration 0 means "forever" for device faults and
-/// is treated as an instant elsewhere.
-struct Window {
-  std::int64_t start;
-  std::int64_t end;  // -1 = open-ended
-  const ScnEntry* entry;
-};
-
-void check_no_overlap(std::vector<Window> ws, const std::string& what) {
-  std::sort(ws.begin(), ws.end(), [](const Window& a, const Window& b) {
-    return a.start < b.start;
-  });
-  for (std::size_t i = 1; i < ws.size(); ++i) {
-    const Window& prev = ws[i - 1];
-    if (prev.end < 0 || ws[i].start < prev.end) {
-      fail(*ws[i].entry, what + " window starting at " +
-                             std::to_string(ws[i].start / 1'000'000'000.0) +
-                             " s overlaps the one from line " +
-                             std::to_string(prev.entry->line));
-    }
-  }
-}
-
 struct Decoder {
   ScenarioSpec spec;
   std::map<std::pair<std::string, std::string>, int> scalar_lines;
@@ -304,17 +310,26 @@ struct Decoder {
   const ScnEntry* loop_entry{nullptr};
   const ScnEntry* first_command{nullptr};
   const ScnEntry* drain_entry{nullptr};
-  std::vector<const ScnEntry*> link_entries;
-  std::vector<const ScnEntry*> cloud_entries;
-  std::vector<const ScnEntry*> brownout_entries;
-  std::vector<const ScnEntry*> fcm_entries;
-  std::vector<const ScnEntry*> device_entries;
-  std::vector<const ScnEntry*> restart_entries;
   std::vector<const ScnEntry*> capture_entries;
-  std::vector<const ScnEntry*> fleet_fcm_entries;
-  std::vector<const ScnEntry*> fleet_capacity_entries;
-  std::vector<const ScnEntry*> fleet_wan_entries;
-  std::vector<const ScnEntry*> fleet_wave_entries;
+  /// The lines behind each fault-plan group, in list order, so a validator's
+  /// violation (group, index) maps back to the line that wrote the entry.
+  std::vector<const ScnEntry*> plan_entries[faults::kPlanGroups];
+
+  void add_plan_entry(faults::PlanGroup group, const ScnEntry& e) {
+    plan_entries[static_cast<std::size_t>(group)].push_back(&e);
+  }
+
+  [[noreturn]] void fail_plan(const faults::PlanViolation& v) const {
+    const auto entry = [this](faults::PlanGroup group, std::size_t i) {
+      return plan_entries[static_cast<std::size_t>(group)].at(i);
+    };
+    std::string msg = v.reason;
+    if (v.other != faults::PlanViolation::kNone) {
+      msg += " from line " +
+             std::to_string(entry(v.other_group, v.other)->line);
+    }
+    fail(*entry(v.group, v.index), msg);
+  }
 
   void once(const ScnEntry& e) {
     auto [it, inserted] =
@@ -515,61 +530,37 @@ struct Decoder {
   void decode_faults(const ScnEntry& e) {
     if (e.key == "link") {
       spec.faults.links.push_back(decode_link_fault(e));
-      link_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kLink, e);
     } else if (e.key == "cloud") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<start_s> <dur_s> <rst|norst>");
       faults::CloudOutage f;
       f.start = parse_nonneg_duration(e, toks[0], "start");
       f.duration = parse_nonneg_duration(e, toks[1], "duration");
-      if (toks[2] == "rst") {
-        f.rst_existing = true;
-      } else if (toks[2] == "norst") {
-        f.rst_existing = false;
-      } else {
-        fail(e, "expected rst or norst, got '" + toks[2] + "'");
-      }
+      f.rst_existing = parse_rst(e, toks[2]);
       spec.faults.cloud.push_back(f);
-      cloud_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kCloud, e);
     } else if (e.key == "brownout") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<start_s> <dur_s> extra_ms=X");
       faults::CloudBrownout f;
       f.start = parse_nonneg_duration(e, toks[0], "start");
       f.duration = parse_nonneg_duration(e, toks[1], "duration");
-      for (std::size_t i = 2; i < toks.size(); ++i) {
-        const auto kv = named_arg(toks[i]);
-        if (!kv) fail(e, "expected name=value argument, got '" + toks[i] + "'");
-        if (kv->first == "extra_ms") {
-          f.extra_latency = parse_extra_ms(e, kv->second);
-        } else {
-          fail(e, "unknown argument '" + kv->first + "'");
-        }
-      }
+      decode_extra_ms_arg(e, toks, 2, f.extra_latency);
       if (f.extra_latency.ns() == 0) {
         fail(e, "a brownout needs extra_ms > 0 (use 'cloud' for refusal)");
       }
       spec.faults.brownouts.push_back(f);
-      brownout_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kBrownout, e);
     } else if (e.key == "fcm") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 2, "<start_s> <dur_s> [delay_s=X] [drop=P]");
       faults::FcmFault f;
       f.start = parse_nonneg_duration(e, toks[0], "start");
       f.duration = parse_nonneg_duration(e, toks[1], "duration");
-      for (std::size_t i = 2; i < toks.size(); ++i) {
-        const auto kv = named_arg(toks[i]);
-        if (!kv) fail(e, "expected name=value argument, got '" + toks[i] + "'");
-        if (kv->first == "delay_s") {
-          f.extra_delay = parse_nonneg_duration(e, kv->second, "delay_s");
-        } else if (kv->first == "drop") {
-          f.drop_prob = parse_prob(e, kv->second, "drop");
-        } else {
-          fail(e, "unknown argument '" + kv->first + "'");
-        }
-      }
+      decode_fcm_args(e, toks, 2, f);
       spec.faults.fcm.push_back(f);
-      fcm_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kFcm, e);
     } else if (e.key == "device") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<index> <start_s> <dur_s>");
@@ -578,12 +569,12 @@ struct Decoder {
       f.start = parse_nonneg_duration(e, toks[1], "start");
       f.duration = parse_nonneg_duration(e, toks[2], "duration");
       spec.faults.devices.push_back(f);
-      device_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kDevice, e);
     } else if (e.key == "restart") {
       faults::GuardRestart f;
       f.at = parse_nonneg_duration(e, one_token(e), "at_s");
       spec.faults.restarts.push_back(f);
-      restart_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kRestart, e);
     } else if (e.key == "may_break_connections") {
       once(e);
       spec.faults.may_break_connections = parse_bool(e, one_token(e));
@@ -621,6 +612,7 @@ struct Decoder {
                     std::to_string(fleet::kMaxRegions) + "]");
       }
       p.regions = static_cast<std::uint32_t>(v);
+      add_plan_entry(faults::PlanGroup::kRegions, e);
     } else if (e.key == "fcm_outage") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<region> <start_s> <dur_s> [delay_s=X] [drop=P]");
@@ -628,19 +620,9 @@ struct Decoder {
       o.region = static_cast<std::uint32_t>(parse_u64(e, toks[0], "region"));
       o.start = parse_nonneg_duration(e, toks[1], "start");
       o.duration = parse_nonneg_duration(e, toks[2], "duration");
-      for (std::size_t i = 3; i < toks.size(); ++i) {
-        const auto kv = named_arg(toks[i]);
-        if (!kv) fail(e, "expected name=value argument, got '" + toks[i] + "'");
-        if (kv->first == "delay_s") {
-          o.extra_delay = parse_nonneg_duration(e, kv->second, "delay_s");
-        } else if (kv->first == "drop") {
-          o.drop_prob = parse_prob(e, kv->second, "drop");
-        } else {
-          fail(e, "unknown argument '" + kv->first + "'");
-        }
-      }
+      decode_fcm_args(e, toks, 3, o);
       p.fcm_outages.push_back(o);
-      fleet_fcm_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kFleetFcm, e);
     } else if (e.key == "cloud_capacity") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3,
@@ -649,29 +631,21 @@ struct Decoder {
       fleet::CloudCapacityEvent ev;
       ev.start = parse_nonneg_duration(e, toks[0], "start");
       ev.duration = parse_nonneg_duration(e, toks[1], "duration");
-      if (toks[2] == "rst") {
-        ev.rst_existing = true;
-      } else if (toks[2] == "norst") {
-        ev.rst_existing = false;
-      } else {
-        fail(e, "expected rst or norst, got '" + toks[2] + "'");
-      }
-      for (std::size_t i = 3; i < toks.size(); ++i) {
-        const auto kv = named_arg(toks[i]);
-        if (!kv) fail(e, "expected name=value argument, got '" + toks[i] + "'");
-        if (kv->first == "fraction") {
-          ev.fraction = parse_prob(e, kv->second, "fraction");
+      ev.rst_existing = parse_rst(e, toks[2]);
+      for_each_arg(e, toks, 3, [&](const auto& key, const auto& value) {
+        if (key == "fraction") {
+          ev.fraction = parse_prob(e, value, "fraction");
           if (ev.fraction == 0.0) fail(e, "fraction must be in (0, 1]");
-        } else if (kv->first == "spread_s") {
-          ev.recovery_spread = parse_nonneg_duration(e, kv->second, "spread_s");
-        } else if (kv->first == "extra_ms") {
-          ev.extra_latency = parse_extra_ms(e, kv->second);
+        } else if (key == "spread_s") {
+          ev.recovery_spread = parse_nonneg_duration(e, value, "spread_s");
+        } else if (key == "extra_ms") {
+          ev.extra_latency = parse_extra_ms(e, value);
         } else {
-          fail(e, "unknown argument '" + kv->first + "'");
+          fail(e, "unknown argument '" + key + "'");
         }
-      }
+      });
       p.cloud_capacity.push_back(ev);
-      fleet_capacity_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kCapacity, e);
     } else if (e.key == "wan_degrade") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 3, "<region> <start_s> <dur_s> [extra_ms=X]");
@@ -679,35 +653,22 @@ struct Decoder {
       w.region = static_cast<std::uint32_t>(parse_u64(e, toks[0], "region"));
       w.start = parse_nonneg_duration(e, toks[1], "start");
       w.duration = parse_nonneg_duration(e, toks[2], "duration");
-      for (std::size_t i = 3; i < toks.size(); ++i) {
-        const auto kv = named_arg(toks[i]);
-        if (!kv) fail(e, "expected name=value argument, got '" + toks[i] + "'");
-        if (kv->first == "extra_ms") {
-          w.extra_latency = parse_extra_ms(e, kv->second);
-        } else {
-          fail(e, "unknown argument '" + kv->first + "'");
-        }
-      }
+      decode_extra_ms_arg(e, toks, 3, w.extra_latency);
       p.wan_degrades.push_back(w);
-      fleet_wan_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kWan, e);
     } else if (e.key == "restart_wave") {
       const auto toks = scn_tokens(e.value);
       need_tokens(e, toks, 2, "<start_s> <stagger_s> [fraction=F]");
       fleet::GuardRestartWave w;
       w.start = parse_nonneg_duration(e, toks[0], "start");
       w.stagger = parse_nonneg_duration(e, toks[1], "stagger");
-      for (std::size_t i = 2; i < toks.size(); ++i) {
-        const auto kv = named_arg(toks[i]);
-        if (!kv) fail(e, "expected name=value argument, got '" + toks[i] + "'");
-        if (kv->first == "fraction") {
-          w.fraction = parse_prob(e, kv->second, "fraction");
-          if (w.fraction == 0.0) fail(e, "fraction must be in (0, 1]");
-        } else {
-          fail(e, "unknown argument '" + kv->first + "'");
-        }
-      }
+      for_each_arg(e, toks, 2, [&](const auto& key, const auto& value) {
+        if (key != "fraction") fail(e, "unknown argument '" + key + "'");
+        w.fraction = parse_prob(e, value, "fraction");
+        if (w.fraction == 0.0) fail(e, "fraction must be in (0, 1]");
+      });
       p.restart_waves.push_back(w);
-      fleet_wave_entries.push_back(&e);
+      add_plan_entry(faults::PlanGroup::kWave, e);
     } else if (e.key == "reconnect_backoff") {
       once(e);
       const auto toks = scn_tokens(e.value);
@@ -717,23 +678,21 @@ struct Decoder {
           p.resilience.reconnect_backoff > 8.0) {
         fail(e, "backoff factor must be in [1, 8]");
       }
-      for (std::size_t i = 1; i < toks.size(); ++i) {
-        const auto kv = named_arg(toks[i]);
-        if (!kv) fail(e, "expected name=value argument, got '" + toks[i] + "'");
-        if (kv->first == "cap_s") {
+      for_each_arg(e, toks, 1, [&](const auto& key, const auto& value) {
+        if (key == "cap_s") {
           p.resilience.reconnect_backoff_cap =
-              parse_nonneg_duration(e, kv->second, "cap_s");
+              parse_nonneg_duration(e, value, "cap_s");
           if (p.resilience.reconnect_backoff_cap.ns() == 0) {
             fail(e, "cap_s must be > 0");
           }
-        } else if (kv->first == "budget") {
-          const auto v = parse_u64(e, kv->second, "budget");
+        } else if (key == "budget") {
+          const auto v = parse_u64(e, value, "budget");
           if (v > 64) fail(e, "budget must be <= 64");
           p.resilience.reconnect_budget = static_cast<int>(v);
         } else {
-          fail(e, "unknown argument '" + kv->first + "'");
+          fail(e, "unknown argument '" + key + "'");
         }
-      }
+      });
     } else if (e.key == "fcm_retry_jitter") {
       once(e);
       const double v = parse_prob(e, one_token(e), "fcm_retry_jitter");
@@ -819,8 +778,20 @@ struct Decoder {
       fail(*first_in_section.at("population"),
            "[population] needs 'homes = N'");
     }
-    validate_faults();
-    validate_fleet_faults();
+    if (auto v = faults::validate(spec.faults,
+                                  static_cast<std::size_t>(spec.home.owners))) {
+      fail_plan(*v);
+    }
+    if (first_in_section.count("fleet_faults") == 0) return;
+    if (!spec.population.enabled()) {
+      fail(*first_in_section.at("fleet_faults"),
+           "[fleet_faults] needs a [population] (fleet events are "
+           "population-scoped)");
+    }
+    if (auto v = fleet::validate(spec.fleet_faults, spec.population.homes,
+                                 spec.faults)) {
+      fail_plan(*v);
+    }
   }
 
   void validate_chain() {
@@ -920,203 +891,6 @@ struct Decoder {
                                       " declared flows"};
       }
     }
-  }
-
-  void validate_faults() {
-    // Mirrors (and extends, with line numbers) FaultInjector::validate: the
-    // runner re-validates on arm, but nothing should get that far broken.
-    std::vector<Window> by_group[2][3];  // [where][kind]
-    for (std::size_t i = 0; i < spec.faults.links.size(); ++i) {
-      const faults::LinkFault& f = spec.faults.links[i];
-      by_group[static_cast<int>(f.where)][static_cast<int>(f.kind)].push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), link_entries[i]});
-    }
-    for (auto& where : by_group) {
-      for (auto& ws : where) check_no_overlap(std::move(ws), "link-fault");
-    }
-
-    std::vector<Window> cloud;
-    for (std::size_t i = 0; i < spec.faults.cloud.size(); ++i) {
-      const faults::CloudOutage& f = spec.faults.cloud[i];
-      cloud.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), cloud_entries[i]});
-    }
-    check_no_overlap(std::move(cloud), "cloud-outage");
-
-    std::vector<Window> brownouts;
-    for (std::size_t i = 0; i < spec.faults.brownouts.size(); ++i) {
-      const faults::CloudBrownout& f = spec.faults.brownouts[i];
-      brownouts.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), brownout_entries[i]});
-    }
-    check_no_overlap(std::move(brownouts), "cloud-brownout");
-
-    std::vector<Window> fcm;
-    for (std::size_t i = 0; i < spec.faults.fcm.size(); ++i) {
-      const faults::FcmFault& f = spec.faults.fcm[i];
-      fcm.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), fcm_entries[i]});
-    }
-    check_no_overlap(std::move(fcm), "fcm-fault");
-
-    std::map<int, std::vector<Window>> devices;
-    for (std::size_t i = 0; i < spec.faults.devices.size(); ++i) {
-      const faults::DeviceFault& f = spec.faults.devices[i];
-      if (f.device < 0 || f.device >= spec.home.owners) {
-        fail(*device_entries[i],
-             "device index " + std::to_string(f.device) + " out of range (" +
-                 std::to_string(spec.home.owners) + " owner devices)");
-      }
-      devices[f.device].push_back(
-          {f.start.ns(),
-           f.duration.ns() == 0 ? -1 : (f.start + f.duration).ns(),
-           device_entries[i]});
-    }
-    for (auto& dev_ws : devices) {
-      check_no_overlap(std::move(dev_ws.second), "device-fault");
-    }
-
-    std::set<std::int64_t> restart_at;
-    for (std::size_t i = 0; i < spec.faults.restarts.size(); ++i) {
-      if (!restart_at.insert(spec.faults.restarts[i].at.ns()).second) {
-        fail(*restart_entries[i], "duplicate guard restart instant");
-      }
-    }
-  }
-
-  void validate_fleet_faults() {
-    // Mirrors FleetFaultOrchestrator::validate / validate_against_base with
-    // line numbers (vg_scenario cannot link vg_fleet; the orchestrator
-    // re-validates when WorldTemplate installs the plan).
-    const auto it = first_in_section.find("fleet_faults");
-    if (it == first_in_section.end()) return;
-    const fleet::FleetFaultPlan& p = spec.fleet_faults;
-    if (!spec.population.enabled()) {
-      fail(*it->second, "[fleet_faults] needs a [population] (fleet events "
-                        "are population-scoped)");
-    }
-    if (p.regions > spec.population.homes) {
-      const auto rl = scalar_lines.find({"fleet_faults", "regions"});
-      throw ScnError{rl != scalar_lines.end() ? rl->second : it->second->line,
-                     "[fleet_faults] regions: " + std::to_string(p.regions) +
-                         " regions exceed the population's " +
-                         std::to_string(spec.population.homes) +
-                         " homes (guaranteed zero-home regions)"};
-    }
-
-    std::map<std::uint32_t, std::vector<Window>> fcm_by_region;
-    for (std::size_t i = 0; i < p.fcm_outages.size(); ++i) {
-      const fleet::RegionalFcmOutage& o = p.fcm_outages[i];
-      if (o.region >= p.regions) {
-        fail(*fleet_fcm_entries[i],
-             "region " + std::to_string(o.region) + " out of range (" +
-                 std::to_string(p.regions) + " regions)");
-      }
-      fcm_by_region[o.region].push_back(
-          {o.start.ns(), (o.start + o.duration).ns(), fleet_fcm_entries[i]});
-    }
-    for (auto& ws : fcm_by_region) {
-      check_no_overlap(std::move(ws.second), "regional fcm-outage");
-    }
-
-    // A capacity event's per-home cloud window can grow to start + duration +
-    // the load-coupled re-admission stagger; envelopes may not overlap.
-    std::vector<Window> envelopes;
-    for (std::size_t i = 0; i < p.cloud_capacity.size(); ++i) {
-      const fleet::CloudCapacityEvent& ev = p.cloud_capacity[i];
-      envelopes.push_back(
-          {ev.start.ns(), (ev.start + ev.duration + ev.recovery_spread).ns(),
-           fleet_capacity_entries[i]});
-    }
-    check_no_overlap(std::move(envelopes), "cloud-capacity");
-
-    std::map<std::uint32_t, std::vector<Window>> wan_by_region;
-    for (std::size_t i = 0; i < p.wan_degrades.size(); ++i) {
-      const fleet::WanDegradeWindow& w = p.wan_degrades[i];
-      if (w.region >= p.regions) {
-        fail(*fleet_wan_entries[i],
-             "region " + std::to_string(w.region) + " out of range (" +
-                 std::to_string(p.regions) + " regions)");
-      }
-      wan_by_region[w.region].push_back(
-          {w.start.ns(), (w.start + w.duration).ns(), fleet_wan_entries[i]});
-    }
-    for (auto& ws : wan_by_region) {
-      check_no_overlap(std::move(ws.second), "regional wan-degrade");
-    }
-
-    // The base [faults] plan applies to every home, so any fleet window may
-    // meet it; the injector's overlap groups must stay collision-free for
-    // every (home, region) combination.
-    const auto check_disjoint = [](const std::vector<Window>& fleet_ws,
-                                   const std::vector<Window>& base_ws,
-                                   const std::string& what) {
-      for (const Window& x : fleet_ws) {
-        for (const Window& y : base_ws) {
-          if (x.start < y.end && y.start < x.end) {
-            fail(*x.entry, what + " window collides with the base [faults] "
-                               "window from line " +
-                               std::to_string(y.entry->line));
-          }
-        }
-      }
-    };
-
-    std::vector<Window> fleet_fcm;
-    for (std::size_t i = 0; i < p.fcm_outages.size(); ++i) {
-      const fleet::RegionalFcmOutage& o = p.fcm_outages[i];
-      fleet_fcm.push_back(
-          {o.start.ns(), (o.start + o.duration).ns(), fleet_fcm_entries[i]});
-    }
-    std::vector<Window> base_fcm;
-    for (std::size_t i = 0; i < spec.faults.fcm.size(); ++i) {
-      const faults::FcmFault& f = spec.faults.fcm[i];
-      base_fcm.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), fcm_entries[i]});
-    }
-    check_disjoint(fleet_fcm, base_fcm, "fcm_outage");
-
-    std::vector<Window> fleet_cloud;
-    std::vector<Window> fleet_brownout;
-    for (std::size_t i = 0; i < p.cloud_capacity.size(); ++i) {
-      const fleet::CloudCapacityEvent& ev = p.cloud_capacity[i];
-      fleet_cloud.push_back(
-          {ev.start.ns(), (ev.start + ev.duration + ev.recovery_spread).ns(),
-           fleet_capacity_entries[i]});
-      fleet_brownout.push_back({ev.start.ns(), (ev.start + ev.duration).ns(),
-                                fleet_capacity_entries[i]});
-    }
-    std::vector<Window> base_cloud;
-    for (std::size_t i = 0; i < spec.faults.cloud.size(); ++i) {
-      const faults::CloudOutage& f = spec.faults.cloud[i];
-      base_cloud.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), cloud_entries[i]});
-    }
-    std::vector<Window> base_brownout;
-    for (std::size_t i = 0; i < spec.faults.brownouts.size(); ++i) {
-      const faults::CloudBrownout& f = spec.faults.brownouts[i];
-      base_brownout.push_back(
-          {f.start.ns(), (f.start + f.duration).ns(), brownout_entries[i]});
-    }
-    check_disjoint(fleet_cloud, base_cloud, "cloud_capacity");
-    check_disjoint(fleet_brownout, base_brownout, "cloud_capacity brownout");
-
-    std::vector<Window> fleet_wan;
-    for (std::size_t i = 0; i < p.wan_degrades.size(); ++i) {
-      const fleet::WanDegradeWindow& w = p.wan_degrades[i];
-      fleet_wan.push_back(
-          {w.start.ns(), (w.start + w.duration).ns(), fleet_wan_entries[i]});
-    }
-    std::vector<Window> base_wan_latency;
-    for (std::size_t i = 0; i < spec.faults.links.size(); ++i) {
-      const faults::LinkFault& f = spec.faults.links[i];
-      if (f.where == faults::LinkFault::Where::kWan &&
-          f.kind == faults::LinkFault::Kind::kLatencySpike) {
-        base_wan_latency.push_back(
-            {f.start.ns(), (f.start + f.duration).ns(), link_entries[i]});
-      }
-    }
-    check_disjoint(fleet_wan, base_wan_latency, "wan_degrade");
   }
 };
 

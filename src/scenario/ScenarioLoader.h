@@ -9,11 +9,11 @@
 /// Decodes and validates `.scn` text into a ScenarioSpec with the same
 /// validate-before-install discipline as faults::FaultInjector: the loader
 /// either returns a spec that has passed every check (types, ranges,
-/// kind/section consistency, schedule monotonicity, fault-window overlap,
-/// capture-op flow references and timeline order) or throws ScnError naming
-/// the offending section, key and line — never a half-decoded spec. The
-/// workload-side runner can therefore install a loaded spec without
-/// re-checking anything the text could get wrong.
+/// kind/section consistency, schedule monotonicity, capture-op flow
+/// references and timeline order, and the fault plans' own faults::validate
+/// and fleet::validate) or throws ScnError naming the offending section, key
+/// and line — never a half-decoded spec. The workload-side runner can
+/// therefore install a loaded spec without re-checking the text.
 
 namespace vg::scenario {
 

@@ -9,7 +9,7 @@
 // Defines the counting global operator new/delete for this binary: every
 // allocation anywhere in the process bumps the counter, so "zero allocations
 // per event" below really means zero.
-#include "testutil/CountingAllocator.h"
+#include "testutil/AllocationCount.h"
 #include "simcore/Arena.h"
 
 namespace vg {

@@ -25,7 +25,7 @@
 
 // Counts every global allocation in this binary (the alloc-regression case
 // below reads it); include in exactly one TU per binary.
-#include "testutil/CountingAllocator.h"
+#include "testutil/AllocationCount.h"
 
 using namespace vg;
 using trace::BatchDecoder;

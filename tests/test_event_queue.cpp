@@ -7,7 +7,7 @@
 #include "simcore/EventQueue.h"
 // Defines the counting global operator new/delete for this binary; used to
 // assert that EventQueue::schedule does not allocate on the hot path.
-#include "testutil/CountingAllocator.h"
+#include "testutil/AllocationCount.h"
 
 namespace vg::sim {
 namespace {

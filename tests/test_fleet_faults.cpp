@@ -1,4 +1,4 @@
-/// Fleet-level fault orchestration (src/fleet/FleetFaultPlan.h,
+/// Fleet-level fault orchestration (src/faults/FleetFaultPlan.h,
 /// FleetFaultOrchestrator): validate-before-install negative paths, the
 /// deterministic region/selection hashing, recovery-metric merge exactness,
 /// and the parity invariant under orchestrated plans — serial and sharded
@@ -9,8 +9,10 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "faults/FaultInjector.h"
 #include "faults/FaultPlan.h"
 #include "fleet/AggregateStats.h"
 #include "fleet/FleetFaultOrchestrator.h"
@@ -54,7 +56,7 @@ TEST(FleetFaultPlans, RegistryValidatesAndResolvesEveryNamedPlan) {
   std::set<std::string> names;
   for (const FleetFaultPlan& p : plans) {
     EXPECT_TRUE(names.insert(p.name).second) << "duplicate plan " << p.name;
-    EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 64)) << p.name;
+    EXPECT_FALSE(validate(p, 64, {})) << p.name;
     const FleetFaultPlan* found = fleet_fault_plan(p.name);
     ASSERT_NE(found, nullptr);
     EXPECT_TRUE(*found == p);
@@ -68,24 +70,24 @@ TEST(FleetFaultPlans, RegistryValidatesAndResolvesEveryNamedPlan) {
 TEST(FleetFaultValidation, RejectsBadRegionCounts) {
   FleetFaultPlan p = valid_plan();
   p.regions = 0;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
   p.regions = kMaxRegions + 1;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
 
   // More regions than homes guarantees zero-home regions.
   p.regions = 4;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 3), std::invalid_argument);
-  EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 4));
+  EXPECT_TRUE(validate(p, 3, {}));
+  EXPECT_FALSE(validate(p, 4, {}));
 }
 
 TEST(FleetFaultValidation, RejectsEventRegionsOutsideThePlan) {
   FleetFaultPlan p = valid_plan();
   p.fcm_outages[0].region = 4;  // regions is 4, so valid regions are 0..3
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
 
   p = valid_plan();
   p.wan_degrades[0].region = 99;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
 }
 
 TEST(FleetFaultValidation, RejectsOverlappingRegionalFcmWindows) {
@@ -93,21 +95,21 @@ TEST(FleetFaultValidation, RejectsOverlappingRegionalFcmWindows) {
   // Overlaps the region-0 outage at [10, 18).
   p.fcm_outages.push_back({0, sim::seconds(15), sim::seconds(5),
                            sim::Duration{}, 1.0});
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
 
   // The same window in another region is fine — regions are disjoint homes.
   p = valid_plan();
   p.fcm_outages.push_back({2, sim::seconds(15), sim::seconds(5),
                            sim::Duration{}, 1.0});
-  EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 64));
+  EXPECT_FALSE(validate(p, 64, {}));
 }
 
 TEST(FleetFaultValidation, RejectsBadCapacityFractions) {
   FleetFaultPlan p = valid_plan();
   p.cloud_capacity[0].fraction = 0.0;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
   p.cloud_capacity[0].fraction = 1.5;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
 }
 
 TEST(FleetFaultValidation, CapacityEnvelopesIncludeTheRecoverySpread) {
@@ -116,55 +118,55 @@ TEST(FleetFaultValidation, CapacityEnvelopesIncludeTheRecoverySpread) {
   // event starting inside the spread still collides.
   p.cloud_capacity.push_back({sim::seconds(38), sim::seconds(5), 0.5, false,
                               sim::Duration{}, sim::Duration{}});
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
 
   p = valid_plan();
   p.cloud_capacity.push_back({sim::seconds(40), sim::seconds(5), 0.5, false,
                               sim::Duration{}, sim::Duration{}});
-  EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 64));
+  EXPECT_FALSE(validate(p, 64, {}));
 }
 
 TEST(FleetFaultValidation, RejectsOverlappingRegionalWanWindows) {
   FleetFaultPlan p = valid_plan();
   p.wan_degrades.push_back({1, sim::seconds(20), sim::seconds(5),
                             sim::milliseconds(100)});
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
 
   p = valid_plan();
   p.wan_degrades.push_back({0, sim::seconds(20), sim::seconds(5),
                             sim::milliseconds(100)});
-  EXPECT_NO_THROW(FleetFaultOrchestrator::validate(p, 64));
+  EXPECT_FALSE(validate(p, 64, {}));
 }
 
 TEST(FleetFaultValidation, RejectsBadWaveFractions) {
   FleetFaultPlan p = valid_plan();
   p.restart_waves[0].fraction = 0.0;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
   p.restart_waves[0].fraction = 2.0;
-  EXPECT_THROW(FleetFaultOrchestrator::validate(p, 64), std::invalid_argument);
+  EXPECT_TRUE(validate(p, 64, {}));
 }
 
 TEST(FleetFaultValidation, AgainstBaseCatchesEveryCollisionGroup) {
-  const FleetFaultOrchestrator orch{valid_plan(), 64};
+  const FleetFaultPlan plan = valid_plan();
 
   faults::FaultPlan base;  // empty base never collides
-  EXPECT_NO_THROW(orch.validate_against_base(base));
+  EXPECT_FALSE(validate(plan, 64, base));
 
   // FCM: base window [12, 20) meets the fleet outage at [10, 18).
   base = {};
   base.fcm.push_back({sim::seconds(12), sim::seconds(8), sim::Duration{}, 0.5});
-  EXPECT_THROW(orch.validate_against_base(base), std::invalid_argument);
+  EXPECT_TRUE(validate(plan, 64, base));
 
   // Cloud: base outage [35, 45) meets the capacity envelope [30, 40).
   base = {};
   base.cloud.push_back({sim::seconds(35), sim::seconds(10), true});
-  EXPECT_THROW(orch.validate_against_base(base), std::invalid_argument);
+  EXPECT_TRUE(validate(plan, 64, base));
 
   // Brownout: base brownout inside the capacity *window* [30, 36).
   base = {};
   base.brownouts.push_back(
       {sim::seconds(32), sim::seconds(2), sim::milliseconds(100)});
-  EXPECT_THROW(orch.validate_against_base(base), std::invalid_argument);
+  EXPECT_TRUE(validate(plan, 64, base));
 
   // WAN latency spike: meets the wan_degrade window [12, 22).
   base = {};
@@ -175,7 +177,7 @@ TEST(FleetFaultValidation, AgainstBaseCatchesEveryCollisionGroup) {
   spike.duration = sim::seconds(5);
   spike.extra_latency = sim::milliseconds(50);
   base.links.push_back(spike);
-  EXPECT_THROW(orch.validate_against_base(base), std::invalid_argument);
+  EXPECT_TRUE(validate(plan, 64, base));
 
   // A LAN flap in the same window is a different group — no collision.
   base = {};
@@ -185,15 +187,15 @@ TEST(FleetFaultValidation, AgainstBaseCatchesEveryCollisionGroup) {
   flap.start = sim::seconds(15);
   flap.duration = sim::seconds(5);
   base.links.push_back(flap);
-  EXPECT_NO_THROW(orch.validate_against_base(base));
+  EXPECT_FALSE(validate(plan, 64, base));
 }
 
 // ---------------------------------------------------------------------------
 // Deterministic region assignment and per-home expansion.
 
 TEST(FleetFaultOrchestration, RegionAssignmentIsDeterministicAndInRange) {
-  const FleetFaultOrchestrator a{valid_plan(), 64};
-  const FleetFaultOrchestrator b{valid_plan(), 64};
+  const FleetFaultOrchestrator a{valid_plan(), 64, {}};
+  const FleetFaultOrchestrator b{valid_plan(), 64, {}};
   std::set<std::uint32_t> seen;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const std::uint32_t r = a.region_of(seed);
@@ -206,8 +208,8 @@ TEST(FleetFaultOrchestration, RegionAssignmentIsDeterministicAndInRange) {
 }
 
 TEST(FleetFaultOrchestration, ApplyIsAPureFunctionOfTheHomeSeed) {
-  const FleetFaultOrchestrator a{valid_plan(), 64};
-  const FleetFaultOrchestrator b{valid_plan(), 64};
+  const FleetFaultOrchestrator a{valid_plan(), 64, {}};
+  const FleetFaultOrchestrator b{valid_plan(), 64, {}};
   for (std::uint64_t seed : {1ull, 42ull, 0xDEADBEEFull}) {
     faults::FaultPlan out_a;
     faults::FaultPlan out_b;
@@ -222,7 +224,7 @@ TEST(FleetFaultOrchestration, ApplyIsAPureFunctionOfTheHomeSeed) {
 TEST(FleetFaultOrchestration, CapacityBrownoutTouchesEveryHome) {
   // extra_latency > 0 means the load-coupled brownout lands on every home,
   // refused or not — so a capacity event always orchestrates the full fleet.
-  const FleetFaultOrchestrator orch{valid_plan(), 64};
+  const FleetFaultOrchestrator orch{valid_plan(), 64, {}};
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     faults::FaultPlan out;
     orch.apply(seed, out);
@@ -232,12 +234,6 @@ TEST(FleetFaultOrchestration, CapacityBrownoutTouchesEveryHome) {
     EXPECT_EQ(out.brownouts[0].extra_latency,
               sim::Duration{100'000'000});  // 200 ms * 0.5
   }
-}
-
-TEST(FleetFaultOrchestration, LastWindowEndCoversEveryVector) {
-  const FleetFaultOrchestrator orch{valid_plan(), 64};
-  // Latest orchestrated instant: the restart wave at 45 s + 5 s stagger.
-  EXPECT_GE(orch.last_window_end(), sim::seconds(50));
 }
 
 // ---------------------------------------------------------------------------
@@ -434,6 +430,95 @@ TEST(FleetScnLoader, ForbiddenOutsideScriptedHomePopulations) {
       "[scenario]\nname = cap\n[schedule]\ncommands = 4\n"
       "[fleet_faults]\nregions = 2\n",
       "fleet_faults");
+}
+
+// ---------------------------------------------------------------------------
+// One validator: a plan rejected from `.scn` text and the same plan built in
+// C++ fail with the same reason. Only the way the other entry is named
+// differs: a line in the file, or an entry index in the plan.
+
+std::string scn_error(const std::string& text) {
+  try {
+    (void)scenario::ScenarioLoader::load(text);
+  } catch (const scenario::ScnError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(SharedPlanValidator, DeviceOverlapReadsTheSameFromScnAndArm) {
+  const std::string reason =
+      "device-fault window starting at 12.000000 s overlaps the one";
+  EXPECT_EQ(scn_error("[scenario]\nname = x\n[schedule]\ncommand = 10 legit\n"
+                      "[faults]\ndevice = 0 10 5\ndevice = 0 12 5\n"),
+            "line 7: [faults] device: " + reason + " from line 6");
+
+  faults::FaultPlan plan;
+  plan.name = "x";
+  plan.devices.push_back({0, sim::seconds(10), sim::seconds(5)});
+  plan.devices.push_back({0, sim::seconds(12), sim::seconds(5)});
+  sim::Simulation sim{1};
+  faults::FaultInjector::Targets targets;
+  targets.devices.resize(2);  // the .scn default of two owner devices
+  faults::FaultInjector inj{sim, targets};
+  try {
+    inj.arm(plan);
+    FAIL() << "arm accepted an overlapping device plan";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "FaultInjector: " + reason + " from entry 0 in plan 'x'");
+  }
+}
+
+TEST(SharedPlanValidator, BaseCollisionReadsTheSameFromScnAndOrchestrator) {
+  const std::string reason =
+      "fcm_outage window collides with the base [faults] window";
+  EXPECT_EQ(scn_error("[scenario]\nname = x\n[schedule]\ncommand = 10 legit\n"
+                      "[faults]\nfcm = 12 10 drop=0.5\n"
+                      "[population]\nhomes = 8\n"
+                      "[fleet_faults]\nregions = 4\nfcm_outage = 0 10 8\n"),
+            "line 11: [fleet_faults] fcm_outage: " + reason + " from line 6");
+
+  FleetFaultPlan plan;
+  plan.name = "x";
+  plan.regions = 4;
+  plan.fcm_outages.push_back(
+      {0, sim::seconds(10), sim::seconds(8), sim::Duration{}, 1.0});
+  faults::FaultPlan base;
+  base.fcm.push_back({sim::seconds(12), sim::seconds(10), sim::Duration{}, 0.5});
+  try {
+    const FleetFaultOrchestrator orch{plan, 8, base};
+    FAIL() << "the orchestrator accepted a plan colliding with its base";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "FleetFaultPlan: " + reason + " from entry 0 in plan 'x'");
+  }
+}
+
+TEST(SharedPlanValidator, ZeroLengthWindowAtAnotherStartIsLegalInAnyOrder) {
+  // [5, 5) is empty, so it meets nothing: the loader and the injector both
+  // accept it beside [5, 15), whichever of the two is listed first.
+  const std::string head =
+      "[scenario]\nname = x\n[schedule]\ncommand = 10 legit\n[faults]\n";
+  EXPECT_EQ(scn_error(head + "link = lan flap 5 10\nlink = lan flap 5 0\n"),
+            "accepted");
+  EXPECT_EQ(scn_error(head + "link = lan flap 5 0\nlink = lan flap 5 10\n"),
+            "accepted");
+
+  faults::FaultPlan plan;
+  faults::LinkFault f;
+  f.where = faults::LinkFault::Where::kLan;
+  f.start = sim::seconds(5);
+  f.duration = sim::seconds(10);
+  plan.links.push_back(f);
+  f.duration = sim::Duration{};
+  plan.links.push_back(f);
+  EXPECT_FALSE(faults::validate(plan, 0));
+  std::swap(plan.links[0], plan.links[1]);
+  EXPECT_FALSE(faults::validate(plan, 0));
+  // A zero-length window strictly inside another one still collides.
+  plan.links[0].start = sim::seconds(7);
+  EXPECT_TRUE(faults::validate(plan, 0));
 }
 
 // ---------------------------------------------------------------------------

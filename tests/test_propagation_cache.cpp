@@ -8,7 +8,7 @@
 #include "radio/PropagationCache.h"
 #include "simcore/Rng.h"
 #include "simcore/Simulation.h"
-#include "testutil/CountingAllocator.h"
+#include "testutil/AllocationCount.h"
 #include "voiceguard/Recognizer.h"
 
 namespace vg::radio {

@@ -211,7 +211,9 @@ TEST(TraceRoundTrip, DecodedRecordsMatchWhatWasWritten) {
       const trace::TraceRecord& rec = r.records()[i];
       EXPECT_EQ(rec.kind, expect[i].kind);
       EXPECT_EQ(rec.when.ns(), expect[i].ns);
-      if (expect[i].flow >= 0) EXPECT_EQ(rec.flow, expect[i].flow);
+      if (expect[i].flow >= 0) {
+        EXPECT_EQ(rec.flow, expect[i].flow);
+      }
       if (expect[i].kind == FrameKind::kTlsRecord ||
           expect[i].kind == FrameKind::kDatagram) {
         EXPECT_EQ(rec.upstream, expect[i].up);

@@ -1,51 +1,11 @@
 #pragma once
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 /// \file CountingAllocator.h
-/// Global operator new/delete replacement that counts allocations, shared by
-/// the allocation-regression suite (test_event_queue, test_arena) and
-/// bench_throughput's allocs-per-event metric.
-///
-/// Include this header in EXACTLY ONE translation unit per binary: it
-/// *defines* the replaceable global allocation functions. Any allocation
-/// anywhere in the process (including the standard library) bumps the
-/// counter, which is what makes "zero allocations per event" assertable.
+/// The counting allocator for a program built from a single source file that
+/// cannot link CountingAllocator.cpp (perfbench/vgbench.cpp): include this
+/// header in EXACTLY ONE translation unit and it compiles the replacement
+/// operators into it. Everything else includes AllocationCount.h and links
+/// CountingAllocator.cpp.
 
-namespace vg::testutil {
-
-inline std::atomic<std::size_t> g_allocations{0};
-
-/// Number of global operator new calls since process start.
-inline std::size_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-/// Allocations that happened while running \p fn.
-template <class Fn>
-std::size_t allocations_during(Fn&& fn) {
-  const std::size_t before = allocation_count();
-  fn();
-  return allocation_count() - before;
-}
-
-}  // namespace vg::testutil
-
-void* operator new(std::size_t size) {
-  ++vg::testutil::g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  ++vg::testutil::g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "testutil/AllocationCount.h"
+#include "testutil/CountingAllocator.cpp"
